@@ -2,7 +2,8 @@
 
 Commands print human-readable summaries; ``--json`` additionally writes the
 exact machine-readable form.  Exit status: 0 on success, 1 when a
-verification or table cell fails, 2 on usage errors.
+verification or table cell fails or the ``--json`` file cannot be written,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -30,10 +31,18 @@ EXPECTED = {
 }
 
 
+class OutputError(Exception):
+    """The ``--json`` destination could not be written."""
+
+
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _fmt_root(root) -> str:
@@ -56,13 +65,19 @@ def cmd_roots(args) -> int:
 
 def cmd_spinors(args) -> int:
     simple = coxeter.simple_roots(args.group)
+    # --json exports the whole pipeline, which already holds both closures
+    result = spingroup.run_pipeline(simple) if args.json else None
     if args.from_two:
-        ss = spingroup.generate_from_two(simple)
+        ss = (spingroup.generate_from_two(simple) if result is None
+              else result.two_generator)
         print(f"spinors (from two generators): {len(ss)}")
     else:
-        rs = coxeter.orbit_closure(simple)
-        coxeter.verify_root_system(rs)
-        ss = spingroup.generate_rotors(rs)
+        if result is None:
+            rs = coxeter.orbit_closure(simple)
+            coxeter.verify_root_system(rs)
+            ss = spingroup.generate_rotors(rs)
+        else:
+            ss = result.spinors
         print(f"spinors: {len(ss)}")
     name = spingroup.catalog_match(ss)
     if name is None:
@@ -72,18 +87,21 @@ def cmd_spinors(args) -> int:
         print(f"catalog match: {name} (binary group {binary})")
     for q in ss.quaternions():
         print(f"  {q}")
-    if args.json:
-        result = spingroup.run_pipeline(simple)
+    if result is not None:
         _write_json(args.json, spingroup.export_json(result))
     return 0 if name is not None else 1
 
 
 def cmd_versors(args) -> int:
     simple = coxeter.simple_roots(args.group)
-    rs = coxeter.orbit_closure(simple)
-    coxeter.verify_root_system(rs)
-    vg = spingroup.generate_versor_group(rs)
-    census = spingroup.classify_versors(vg)
+    if args.json:
+        result = spingroup.run_pipeline(simple)
+        vg, census = result.versors, result.census
+    else:
+        rs = coxeter.orbit_closure(simple)
+        coxeter.verify_root_system(rs)
+        vg = spingroup.generate_versor_group(rs)
+        census = spingroup.classify_versors(vg)
     print(f"group: {args.group}")
     print(f"unit versors: {len(vg)}")
     print(f"transformations: {census.transformations}")
@@ -96,7 +114,6 @@ def cmd_versors(args) -> int:
     present = "present" if census.central_inversion else "absent"
     print(f"central inversion: {present}")
     if args.json:
-        result = spingroup.run_pipeline(simple)
         _write_json(args.json, spingroup.export_json(result))
     return 0
 
@@ -207,7 +224,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"spinroots: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,35 +6,35 @@ sigma = (1-sqrt5)/2) lives in this field, so all downstream computations
 are exact.  No floating point is used anywhere except for the optional
 ``approx`` display helper.
 
-The rational ground type is gmpy2.mpq when available (much faster on the
-group closures) and fractions.Fraction otherwise; both are exact and keep
-lowest-terms canonical form.
+An element is stored as four integer coordinates over one shared positive
+denominator, (a + b*sqrt2 + c*sqrt5 + d*sqrt10) / den, reduced by a single
+gcd after every operation (integral-basis coordinates over a common
+denominator, Cohen, *A Course in Computational Algebraic Number Theory*,
+4.2).  The sign is decided exactly by integer comparisons.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    _Q = Fraction
-
-RATIONAL_TYPES = (int, Fraction) if _Q is Fraction else (int, Fraction, type(_Q(1)))
+RATIONAL_TYPES = (int, Fraction)
 
 
-def _frac(x):
-    if isinstance(x, RATIONAL_TYPES):
-        return _Q(x)
-    if isinstance(x, str):
-        return _Q(x)
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational given as int,
+    Fraction or string."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, (Fraction, str)):
+        f = Fraction(x)
+        return f.numerator, f.denominator
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-_F0 = _Q(0)
-_F1 = _Q(1)
+_F0 = Fraction(0)
 
 
 def _sqrt_fraction(t):
@@ -45,7 +45,7 @@ def _sqrt_fraction(t):
     rn = isqrt(num)
     rd = isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return _Q(rn, rd)
+        return Fraction(rn, rd)
     return None
 
 
@@ -89,55 +89,128 @@ def _q5_sqrt(x):
     return None
 
 
-def _sqrt_bounds(n: int, prec: int):
-    """Rational lower/upper bounds of sqrt(n) tight to 2**-prec."""
-    r = isqrt(n << (2 * prec))
-    return _Q(r, 1 << prec), _Q(r + 1, 1 << prec)
+def _sign2(p: int, q: int) -> int:
+    """Sign of p + q*sqrt2 for integers p, q.
+
+    With opposite signs the larger of p^2 and 2q^2 wins; they are never
+    equal unless both vanish, because sqrt2 is irrational.
+    """
+    if not q:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if not p or (p > 0) == (sq > 0):
+        return sq
+    return -sq if p * p > 2 * q * q else sq
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _ratio_hash(n: int, dinv: int) -> int:
+    """hash(Fraction(n, den)) given dinv = den**-1 mod the hash modulus.
+
+    Python's numeric hash of a rational is n * den**-1 reduced modulo a
+    prime, so it does not depend on whether n/den is in lowest terms.
+    """
+    h = hash(hash(abs(n)) * dinv)
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+_ZERO_V = (0, 0, 0, 0, 1)
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _make(a: int, b: int, c: int, d: int, den: int) -> FieldScalar:
+    """(a + b*sqrt2 + c*sqrt5 + d*sqrt10) / den for den > 0, reduced."""
+    g = gcd(a, b, c, d, den)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        den //= g
+    x = _new(FieldScalar)
+    _setattr(x, "_v", (a, b, c, d, den))
+    _setattr(x, "_hash", None)
+    return x
 
 
 @total_ordering
 class FieldScalar:
     """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with exact rational components.
 
-    Immutable; components are canonical (lowest terms, positive
-    denominator), so equality and hashing are componentwise.
+    Immutable.  Internally four integers over one positive denominator
+    whose common gcd is 1, so equality is tuple equality; ``a``, ``b``,
+    ``c`` and ``d`` give the components as lowest-terms Fractions.
     """
 
-    __slots__ = ("a", "b", "c", "d", "_hash")
+    __slots__ = ("_v", "_hash")
 
-    def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, a=0, b=0, c=0, d=0):
+        parts = (_parts(a), _parts(b), _parts(c), _parts(d))
+        den = lcm(*(q for _, q in parts))
+        return _make(*(p * (den // q) for p, q in parts), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldScalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("FieldScalar is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._v[0], self._v[4])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._v[1], self._v[4])
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._v[2], self._v[4])
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._v[3], self._v[4])
+
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
+        if other.__class__ is not FieldScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        v1, v2 = self._v, other._v
+        if v2 == _ZERO_V:
             return self
-        if not self:
+        if v1 == _ZERO_V:
             return other
-        return FieldScalar(self.a + other.a, self.b + other.b,
-                           self.c + other.c, self.d + other.d)
+        a1, b1, c1, d1, n1 = v1
+        a2, b2, c2, d2, n2 = v2
+        if n1 == n2:
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _make(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                     c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
+        if other.__class__ is not FieldScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        v1, v2 = self._v, other._v
+        if v2 == _ZERO_V:
             return self
-        return FieldScalar(self.a - other.a, self.b - other.b,
-                           self.c - other.c, self.d - other.d)
+        a1, b1, c1, d1, n1 = v1
+        a2, b2, c2, d2, n2 = v2
+        if n1 == n2:
+            return _make(a1 - a2, b1 - b2, c1 - c2, d1 - d2, n1)
+        return _make(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
+                     c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -146,22 +219,26 @@ class FieldScalar:
         return other - self
 
     def __neg__(self):
-        return FieldScalar(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _make(-a, -b, -c, -d, den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self or not other:
+        if other.__class__ is not FieldScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        v1, v2 = self._v, other._v
+        if v1 == _ZERO_V or v2 == _ZERO_V:
             return ZERO
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        a1, b1, c1, d1, n1 = v1
+        a2, b2, c2, d2, n2 = v2
         # sqrt2*sqrt2=2, sqrt5*sqrt5=5, sqrt2*sqrt5=sqrt10, sqrt10*sqrt10=10
-        return FieldScalar(
+        return _make(
             a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            n1 * n2,
         )
 
     __rmul__ = __mul__
@@ -181,11 +258,11 @@ class FieldScalar:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
+        if other.__class__ is not FieldScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._v == other._v
 
     def __lt__(self, other):
         other = _coerce(other)
@@ -194,24 +271,36 @@ class FieldScalar:
         return (self - other).sign() < 0
 
     def __hash__(self):
+        """Equal to hash((self.a, self.b, self.c, self.d)), computed
+        without building the Fractions."""
         h = self._hash
         if h is None:
-            h = hash((self.a, self.b, self.c, self.d))
-            object.__setattr__(self, "_hash", h)
+            a, b, c, d, den = self._v
+            if den == 1:
+                h = hash((a, b, c, d))
+            elif den % _HASH_MODULUS:
+                dinv = pow(den, -1, _HASH_MODULUS)
+                h = hash((_ratio_hash(a, dinv), _ratio_hash(b, dinv),
+                          _ratio_hash(c, dinv), _ratio_hash(d, dinv)))
+            else:
+                h = hash((self.a, self.b, self.c, self.d))
+            _setattr(self, "_hash", h)
         return h
 
     def __bool__(self):
-        return bool(self.a or self.b or self.c or self.d)
+        return self._v != _ZERO_V
 
     # -- field operations --------------------------------------------------
 
     def conj_sqrt2(self) -> FieldScalar:
         """Galois map sqrt2 -> -sqrt2 (also flips sqrt10)."""
-        return FieldScalar(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _make(a, -b, c, -d, den)
 
     def conj_sqrt5(self) -> FieldScalar:
         """Galois map sqrt5 -> -sqrt5 (also flips sqrt10)."""
-        return FieldScalar(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _make(a, b, -c, -d, den)
 
     def inverse(self) -> FieldScalar:
         if not self:
@@ -220,41 +309,34 @@ class FieldScalar:
         # rational field norm.
         partial = self.conj_sqrt2() * self.conj_sqrt5() * self.conj_sqrt2().conj_sqrt5()
         norm = self * partial
-        assert not (norm.b or norm.c or norm.d)
-        inv = 1 / norm.a
-        return FieldScalar(partial.a * inv, partial.b * inv,
-                           partial.c * inv, partial.d * inv)
+        n, nb, nc, nd, nden = norm._v
+        if nb or nc or nd:
+            raise ArithmeticError(f"field norm of {self!r} is not rational")
+        a, b, c, d, den = partial._v
+        # partial / (n / nden) with a positive denominator
+        if n < 0:
+            n, nden = -n, -nden
+        return _make(a * nden, b * nden, c * nden, d * nden, den * n)
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1) via refined rational enclosures.
+        """Exact sign (-1, 0, +1), decided by integer comparisons.
 
-        {1, sqrt2, sqrt5, sqrt10} are linearly independent over Q, so a
-        componentwise-nonzero element is a nonzero real and the interval
-        eventually excludes zero.
+        Write the element as x + y*sqrt5 with x = a + b*sqrt2 and
+        y = c + d*sqrt2 in Q(sqrt2).  When sign(x) and sign(y) differ,
+        the sign of x^2 - 5y^2 (never zero, as sqrt5 is not in Q(sqrt2))
+        says which term dominates.  Signs in Q(sqrt2) compare p^2 with 2q^2.
+        The denominator is positive, so the numerators decide.
         """
-        if not self:
-            return 0
-        if not (self.b or self.c or self.d):
-            return -1 if self.a < 0 else 1
-        prec = 24
-        while prec <= 3072:
-            lo = hi = self.a
-            for coef, n in ((self.b, 2), (self.c, 5), (self.d, 10)):
-                if not coef:
-                    continue
-                blo, bhi = _sqrt_bounds(n, prec)
-                if coef > 0:
-                    lo += coef * blo
-                    hi += coef * bhi
-                else:
-                    lo += coef * bhi
-                    hi += coef * blo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-        raise ArithmeticError(f"sign of {self!r} undecided at max precision")
+        a, b, c, d, _ = self._v
+        sx = _sign2(a, b)
+        sy = _sign2(c, d)
+        if not sy or sx == sy:
+            return sx
+        if not sx:
+            return sy
+        dominant = _sign2(a * a + 2 * b * b - 5 * c * c - 10 * d * d,
+                          2 * (a * b - 5 * c * d))
+        return sx if dominant > 0 else sy
 
     def sqrt(self) -> FieldScalar | None:
         """The nonnegative square root if it lies in the field, else None."""
@@ -297,12 +379,14 @@ class FieldScalar:
     # -- conversions, display ----------------------------------------------
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        a, b, c, d, _ = self._v
+        return not (b or c or d)
 
     def approx(self) -> float:
         """Floating-point value, for display only."""
-        return (float(self.a) + float(self.b) * 2 ** 0.5
-                + float(self.c) * 5 ** 0.5 + float(self.d) * 10 ** 0.5)
+        a, b, c, d, den = self._v
+        return (a / den + b / den * 2 ** 0.5
+                + c / den * 5 ** 0.5 + d / den * 10 ** 0.5)
 
     def to_json(self) -> list[str]:
         return [f"{f.numerator}/{f.denominator}"
@@ -343,8 +427,10 @@ class FieldScalar:
 def _coerce(x):
     if isinstance(x, FieldScalar):
         return x
-    if isinstance(x, RATIONAL_TYPES):
-        return FieldScalar(x)
+    if isinstance(x, int):
+        return _make(x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, 0, 0, x.denominator)
     return None
 
 
@@ -353,7 +439,7 @@ ONE = FieldScalar(1)
 SQRT2 = FieldScalar(0, 1)
 SQRT5 = FieldScalar(0, 0, 1)
 SQRT10 = FieldScalar(0, 0, 0, 1)
-TAU = FieldScalar(_Q(1, 2), 0, _Q(1, 2), 0)
-SIGMA = FieldScalar(_Q(1, 2), 0, _Q(-1, 2), 0)
+TAU = FieldScalar(Fraction(1, 2), 0, Fraction(1, 2), 0)
+SIGMA = FieldScalar(Fraction(1, 2), 0, Fraction(-1, 2), 0)
 
 _NAMED = ((TAU, "τ"), (-TAU, "-τ"), (SIGMA, "σ"), (-SIGMA, "-σ"))

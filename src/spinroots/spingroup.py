@@ -326,6 +326,7 @@ class PipelineResult:
     census: VersorCensus
     pure: PureQuaternionCheck
     rank4: RootSystem
+    two_generator: SpinorSet
     two_generator_match: bool
 
     @property
@@ -361,6 +362,7 @@ def run_pipeline(simple: SimpleRoots) -> PipelineResult:
         census=census,
         pure=pure,
         rank4=rank4,
+        two_generator=two,
         two_generator_match=set(two.rotors) == set(ss.rotors),
     )
 

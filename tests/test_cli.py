@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from spinroots import cli, coxeter
+import spinroots
+from spinroots import cli, coxeter, spingroup
 from spinroots.coxeter import RootSystem, SimpleRoots
 
 
@@ -180,3 +186,54 @@ def test_negative_control_broken_preset_reports_error():
     by_group = {row["group"]: row for row in report["rows"]}
     assert "error" in by_group["a3"]
     assert by_group["a3"]["failed_cells"] == ["a3.pipeline"]
+
+
+def test_json_to_unwritable_path_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code = cli.main(["roots", "a1x3", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "roots: 6" in captured.out
+    assert captured.err.splitlines() == [
+        f"spinroots: cannot write {path}: No such file or directory"]
+
+
+def test_json_to_unwritable_path_exit_status(tmp_path):
+    src = Path(spinroots.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinroots.cli", "roots", "a1x3", "--json",
+         str(tmp_path / "missing" / "x.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("spinors", "a3"),
+                                  ("spinors", "a3", "--from-two"),
+                                  ("versors", "a3")])
+def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
+                                            capsys, pipelines):
+    plain_code, plain_out = run(capsys, *argv)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(spingroup, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("run_pipeline", "generate_rotors", "generate_versor_group",
+                 "generate_from_two"):
+        monkeypatch.setattr(spingroup, name, counted(name))
+    path = tmp_path / "out.json"
+    code, out = run(capsys, *argv, "--json", str(path))
+    assert calls == {"run_pipeline": 1, "generate_rotors": 1,
+                     "generate_versor_group": 1, "generate_from_two": 1}
+    assert (code, out) == (plain_code, plain_out)
+    want = json.dumps(spingroup.export_json(pipelines["a3"]), indent=2,
+                      sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == want

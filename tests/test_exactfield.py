@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -134,6 +136,13 @@ def test_json_round_trip():
 def test_hash_consistency():
     assert hash(FieldScalar(Fraction(2, 4))) == hash(FieldScalar(Fraction(1, 2)))
     assert len({TAU, FieldScalar(Fraction(1, 2), 0, Fraction(1, 2), 0)}) == 1
+    # values made by arithmetic hash like the constructed ones
+    y = TAU * TAU - TAU
+    assert y == ONE
+    assert hash(y) == hash(ONE) == hash(FieldScalar(1))
+    z = SQRT2 * FieldScalar(Fraction(1, 6)) * FieldScalar(3)
+    assert z == FieldScalar(0, Fraction(1, 2))
+    assert hash(z) == hash(FieldScalar(0, Fraction(1, 2)))
 
 
 def test_str_rendering():
@@ -154,3 +163,115 @@ def test_approx_display_only():
 def test_immutability():
     with pytest.raises(AttributeError):
         TAU.a = Fraction(1)
+    x = FieldScalar(1, 2, 3, 4)
+    for name in ("b", "c", "d", "_v", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    with pytest.raises(AttributeError):
+        del x._v
+    assert x == FieldScalar(1, 2, 3, 4)
+
+
+# -- exact sign ------------------------------------------------------------
+
+
+def _pell(n: int) -> tuple[int, int]:
+    """(P, Q) with P + Q*sqrt2 = (1 + sqrt2)**n."""
+    p, q = 1, 0
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def _fib_lucas(n: int) -> tuple[int, int]:
+    """(F_n, L_n), with L_n**2 - 5 F_n**2 = 4 (-1)**n."""
+    f, g = 0, 1
+    for _ in range(n):
+        f, g = g, f + g
+    return f, 2 * g - f
+
+
+def test_sign_beyond_interval_precision():
+    # x = (1 - sqrt2)**1301 is about -10**-498 with 1654-bit coefficients
+    p, q = _pell(1301)
+    x = FieldScalar(p, -q)
+    assert x.sign() == -1
+    assert x < 0
+    assert (-x).sign() == 1
+    assert x * FieldScalar(p, q) == -ONE
+    # the same magnitude carried by sqrt5 and sqrt10
+    assert FieldScalar(0, 0, p, -q).sign() == -1
+    assert FieldScalar(0, 0, -p, q).sign() == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 41, 500, 501])
+@pytest.mark.parametrize("k", [0, 1, 30, 31])
+def test_sign_mixed_near_cancellation(n, k):
+    # (L_n - F_n sqrt5) = 2 sigma**n, times (P_k - Q_k sqrt2) = (1-sqrt2)**k:
+    # x = L_n (P - Q sqrt2) and y = -F_n (P - Q sqrt2) have opposite signs
+    # and |x| is within 2 |sigma|**n (1+sqrt2)**-k of |y| sqrt5.
+    f, l = _fib_lucas(n)
+    p, q = _pell(k)
+    x = FieldScalar(l * p, -l * q, -f * p, f * q)
+    want = (-1) ** (n + k)
+    assert x.sign() == want
+    assert (x < 0) == (want < 0)
+    assert (-x).sign() == -want
+    assert (x * x).sign() == 1
+
+
+def _decimal(x: FieldScalar) -> Decimal:
+    """Independent evaluation of x at the ambient decimal precision."""
+    total = Decimal(0)
+    for coef, n in ((x.a, 1), (x.b, 2), (x.c, 5), (x.d, 10)):
+        total += (Decimal(coef.numerator) / Decimal(coef.denominator)
+                  * Decimal(n).sqrt())
+    return total
+
+
+def test_sign_and_order_against_decimal_oracle():
+    rng = random.Random(1205)
+    shrink = (FieldScalar(1, -1), SIGMA)   # |1 - sqrt2|, |sigma| < 1
+    with localcontext() as ctx:
+        ctx.prec = 400
+        for _ in range(300):
+            x = rand_scalar(rng, 50)
+            for base in shrink:
+                for _ in range(rng.randint(0, 60)):
+                    x = x * base
+            y = rand_scalar(rng, 50)
+            dx, dy = _decimal(x), _decimal(y)
+            assert x.sign() == (dx > 0) - (dx < 0)
+            assert (x < y) == (dx < dy)
+            assert (y < x) == (dy < dx)
+
+
+# -- representation ------------------------------------------------------------
+
+
+def test_json_components_reduced_separately():
+    assert FieldScalar(Fraction(1, 2), Fraction(1, 3)).to_json() \
+        == ["1/2", "1/3", "0/1", "0/1"]
+    x = FieldScalar(Fraction(1, 6), Fraction(2, 3), Fraction(-3, 4), 5)
+    assert x.to_json() == ["1/6", "2/3", "-3/4", "5/1"]
+    assert (x.a, x.b, x.c, x.d) == (Fraction(1, 6), Fraction(2, 3),
+                                    Fraction(-3, 4), Fraction(5))
+
+
+def test_hash_agrees_with_fraction_components():
+    # set iteration orders stay those of a tuple of four Fractions
+    rng = random.Random(23)
+    for _ in range(500):
+        x = rand_scalar(rng, 40) * rand_scalar(rng, 40)
+        assert hash(x) == hash((x.a, x.b, x.c, x.d))
+    modulus = sys.hash_info.modulus
+    x = FieldScalar(Fraction(3, modulus), Fraction(1, 2))
+    assert hash(x) == hash((x.a, x.b, x.c, x.d))
+
+
+def test_inverse_rejects_irrational_norm(monkeypatch):
+    # a broken conjugation leaves a norm outside Q; that is an error, not
+    # a silently wrong inverse
+    monkeypatch.setattr(FieldScalar, "conj_sqrt5", lambda self: self)
+    with pytest.raises(ArithmeticError):
+        (ONE + SQRT5).inverse()
