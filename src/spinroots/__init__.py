@@ -9,7 +9,7 @@ from .exactfield import ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU, ZERO, FieldScalar
 from .quaternion import Quaternion, apply_pq, catalog
 from .spingroup import (SpinorSet, VersorGroup, catalog_match,
                         check_pure_quaternion_subrootsystem, classify_versors,
-                        generate_from_two, generate_rotors,
-                        generate_versor_group, induce_rank4, run_pipeline)
+                        generate_from_two, generate_versor_group,
+                        induce_rank4, run_pipeline)
 
 __version__ = "0.1.0"

@@ -75,7 +75,7 @@ def cmd_spinors(args) -> int:
         if result is None:
             rs = coxeter.orbit_closure(simple)
             coxeter.verify_root_system(rs)
-            ss = spingroup.generate_rotors(rs)
+            ss = spingroup.generate_versor_group(rs).spinors()
         else:
             ss = result.spinors
         print(f"spinors: {len(ss)}")

@@ -3,6 +3,12 @@
 Roots are plain tuples of FieldScalar so they hash and sort exactly; the
 reflection s_a(l) = l - 2(l|a)/(a|a) a works for any rank and agrees with
 the Clifford sandwich -nan on rank 3 (cross-checked in the tests).
+
+A root system is the orbit of its generators under the group W their
+reflections generate, so the orbit closure reflects in the generators only:
+if beta = w(alpha_i), then s_beta = w s_i w^-1 lies in W and keeps the
+orbit (Humphreys, *Reflection Groups and Coxeter Groups*, 1.5).  Axiom 1
+keys each root by its direction, scaled so its first nonzero entry is 1.
 """
 
 from __future__ import annotations
@@ -110,44 +116,39 @@ class RootSystem:
 
     @classmethod
     def from_json(cls, data) -> RootSystem:
+        """Load the roots and verify them; the input's flag is not trusted."""
         roots = tuple(tuple(FieldScalar.from_json(c) for c in r)
                       for r in data["roots"])
-        return cls(data["group"], data["rank"], roots, data["verified"])
+        rs = cls(data["group"], data["rank"], roots)
+        verify_root_system(rs)
+        return rs
 
 
 def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
-    """Close the simple roots (and negatives) under reflection in every member.
+    """Orbit of the simple roots (and negatives) under their reflections.
 
-    Deterministic: the worklist runs over the canonically sorted snapshot,
-    and the result is stored sorted.  ``cap`` guards against non-terminating
-    closures of malformed input.
+    Each round reflects the new roots in the generators only; the module
+    docstring says why the result is closed under reflection in every
+    member.  The result is stored sorted.  ``cap`` guards against
+    non-terminating closures of malformed input.
     """
     if not simple.roots:
         raise ValueError("need at least one simple root")
     rank = len(simple.roots[0])
+    gens = [(alpha, _reflection_scale(alpha)) for alpha in simple.roots]
     roots: set[Root] = set(simple.roots) | {negate(r) for r in simple.roots}
-    frontier = sorted(roots)
+    frontier = roots
     while frontier:
-        snapshot = sorted(roots)
         new: set[Root] = set()
-        # every pair with at least one member in the frontier; pairs fully
-        # inside the frontier recur next round once they are in the snapshot
-        for alpha in snapshot:
-            scaled = _reflection_scale(alpha)
-            for lam in frontier:
+        for lam in frontier:
+            for alpha, scaled in gens:
                 image = _reflect_scaled(lam, alpha, scaled)
-                if image not in roots and image not in new:
-                    new.add(image)
-        for alpha in frontier:
-            scaled = _reflection_scale(alpha)
-            for lam in snapshot:
-                image = _reflect_scaled(lam, alpha, scaled)
-                if image not in roots and image not in new:
+                if image not in roots:
                     new.add(image)
         roots |= new
         if len(roots) > cap:
             raise ValueError(f"orbit closure exceeded cap of {cap} elements")
-        frontier = sorted(new)
+        frontier = new
     return RootSystem(simple.group, rank, tuple(sorted(roots)))
 
 
@@ -159,33 +160,39 @@ class Certificate:
     message: str = "ok"
 
 
-def _parallel(x: Root, y: Root) -> bool:
-    # y = c x for some scalar c, given x != 0
-    pivot = next(i for i, v in enumerate(x) if v)
-    if not y[pivot]:
-        return False
-    c = y[pivot] * x[pivot].inverse()
-    return all(b == c * a for a, b in zip(x, y))
+def _direction(x: Root) -> Root:
+    """x scaled so that its first nonzero entry is 1 (x != 0)."""
+    pivot = next(v for v in x if v)
+    if pivot == _ONE:
+        return x
+    inv = pivot.inverse()
+    return tuple(v * inv for v in x)
 
 
 def verify_root_system(rs: RootSystem) -> Certificate:
     """Exhaustively check both root-system axioms; set the flag on success.
 
-    Axiom 1: each root's only scalar multiples in the set are itself and its
-    negative (which must be present).  Axiom 2: the set is invariant under
+    Axiom 1: no root is zero, and each root's only scalar multiples in the
+    set are itself and its negative (which must be present), so a direction
+    holds one root and its negative.  Axiom 2: the set is invariant under
     reflection in each of its members.
     """
     roots = rs.roots
     root_set = set(roots)
     for alpha in roots:
+        if not any(alpha):
+            return Certificate(False, 1, (alpha,), "zero vector present")
         if negate(alpha) not in root_set:
             return Certificate(False, 1, (alpha,),
                                "negative of root missing")
-    for i, alpha in enumerate(roots):
-        for beta in roots[i + 1:]:
-            if _parallel(alpha, beta) and beta != negate(alpha):
+    buckets: dict[Root, list[Root]] = {}
+    for beta in roots:
+        bucket = buckets.setdefault(_direction(beta), [])
+        for alpha in bucket:
+            if beta != negate(alpha):
                 return Certificate(False, 1, (alpha, beta),
                                    "scalar multiple beyond +-root present")
+        bucket.append(beta)
     for alpha in roots:
         scaled = _reflection_scale(alpha)
         for lam in roots:

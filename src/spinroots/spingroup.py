@@ -1,8 +1,12 @@
-"""Rotor and versor groups generated by root systems via the geometric product.
+"""Versor groups generated by root systems via the geometric product.
 
-The multiplicative closure of the root vectors realizes the full reflection
-group as unit versors; the even part is the binary polyhedral group of
-rotors, whose quaternion images are the rank-4 root systems.
+One multiplicative closure of the unit root vectors realizes the full
+reflection group as unit versors.  A spinor is a product of two
+reflections, so the binary polyhedral group of rotors is the even half of
+that closure, and its quaternion images are the rank-4 root systems.  The
+matrix of each versor is read off its four components: in Cl(3) the
+pseudoscalar I is central, every odd versor v is I times an even one, and
+v acts as minus the rotation of I*v.
 """
 
 from __future__ import annotations
@@ -10,11 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from . import clifford
-from .clifford import Multivector, apply_versor, reflect, vector
-from .coxeter import (Matrix, Root, RootSystem, SimpleRoots, mat_det3,
+from .clifford import Multivector, reflect, vector
+from .coxeter import (Matrix, RootSystem, SimpleRoots, mat_det3,
                       mat_identity, mat_mul, mat_neg, mat_order,
-                      verify_root_system)
+                      orbit_closure, verify_root_system)
 from .exactfield import FieldScalar
 from .quaternion import Quaternion, catalog
 
@@ -22,28 +25,25 @@ RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
 BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
                "hurwitz+duals": "2O", "icosians": "2I"}
 
+_ONE = FieldScalar(1)
 _NEG_IDENTITY = mat_neg(mat_identity(3))
 
 
-def _vec(root: Root) -> Multivector:
-    return vector(*root)
-
-
-def _unit_vector(root: Root) -> Multivector:
-    v = _vec(root)
+def _unit(v: Multivector) -> Multivector:
     m2 = v.mag2()
     if not m2:
-        raise ValueError("zero root cannot be normalized")
-    if m2 == FieldScalar(1):
+        raise ValueError("the zero vector cannot be normalized")
+    if m2 == _ONE:
         return v
     s = m2.sqrt()
     if s is None:
-        raise ValueError(f"root norm sqrt({m2}) leaves the field")
+        raise ValueError(f"norm sqrt({m2}) leaves the field")
     return v * s.inverse()
 
 
 def _mulclose(seed, cap: int):
-    """Smallest set containing ``seed`` and closed under the geometric product.
+    """Smallest set containing ``seed`` and closed under the geometric
+    product, as a tuple sorted by components.
 
     Generators are accreted one by one: a seed element already inside the
     running closure contributes nothing new, so the generator list stays
@@ -70,11 +70,7 @@ def _mulclose(seed, cap: int):
                             raise ValueError(
                                 f"closure exceeded cap of {cap} elements")
             frontier = new
-    return elements
-
-
-def _sorted_mvs(mvs) -> tuple[Multivector, ...]:
-    return tuple(sorted(mvs, key=lambda m: m.components))
+    return tuple(sorted(elements, key=lambda m: m.components))
 
 
 @dataclass(frozen=True)
@@ -89,38 +85,47 @@ class SpinorSet:
         return tuple(Quaternion.from_spinor(r) for r in self.rotors)
 
 
-def generate_rotors(rs: RootSystem, cap: int = 10000) -> SpinorSet:
-    """Close the pairwise products a_i a_j of all roots under multiplication.
-
-    For the four preset groups the pairwise products already form the full
-    binary polyhedral group, so the closure loop terminates immediately.
-    """
-    if rs.rank != 3:
-        raise ValueError("rotors are generated from rank-3 root systems")
-    if not rs.verified:
-        raise ValueError("verify the root system before generating rotors")
-    vecs = [_unit_vector(r) for r in rs.roots]
-    seed = {a * b for a in vecs for b in vecs}
-    return SpinorSet(rs.group, _sorted_mvs(_mulclose(seed, cap)))
-
-
 def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> SpinorSet:
     """Closure of the two spinor generators a1 a2 and a2 a3 (with reverses)."""
     if len(simple.roots) != 3:
         raise ValueError("need exactly three simple roots")
-    v1, v2, v3 = (_unit_vector(r) for r in simple.roots)
+    v1, v2, v3 = (_unit(vector(*r)) for r in simple.roots)
     r1 = v1 * v2
     r2 = v2 * v3
     seed = {r1, r2, r1.reverse(), r2.reverse()}
-    return SpinorSet(simple.group, _sorted_mvs(_mulclose(seed, cap)))
+    return SpinorSet(simple.group, _mulclose(seed, cap))
 
 
 def induced_matrix(versor: Multivector) -> Matrix:
-    """Exact 3x3 matrix of the orthogonal map the versor performs."""
-    cols = [apply_versor(e, versor) for e in (clifford.E1, clifford.E2,
-                                              clifford.E3)]
-    return tuple(tuple(cols[j].components[1 + i] for j in range(3))
-                 for i in range(3))
+    """Exact 3x3 matrix of the orthogonal map the versor performs.
+
+    An even versor R = w + I b, with b = (x, y, z), sends v to
+    ((w^2 - |b|^2) v + 2 (b|v) b + 2 w v x b) / (w^2 + |b|^2), a quadratic
+    form in its four components.  An odd versor v is I times the even
+    versor -I v and acts as minus its rotation.
+    """
+    c = versor.components
+    # blade 5 = s2s3 = I s1, blade 6 = s3s1 = I s2, blade 4 = s1s2 = I s3
+    if versor.is_even():
+        odd, w, x, y, z = False, c[0], c[5], c[6], c[4]
+    elif versor.is_odd():
+        odd, w, x, y, z = True, -c[7], c[1], c[2], c[3]
+    else:
+        raise ValueError("versor must have pure even or pure odd grade")
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    norm = ww + xx + yy + zz
+    if not norm:
+        raise ValueError("null versor has no inverse")
+    w2, x2 = w + w, x + x  # for the doubled products
+    xy, xz, yz = x2 * y, x2 * z, (y + y) * z
+    wx, wy, wz = w2 * x, w2 * y, w2 * z
+    m = ((ww + xx - yy - zz, xy + wz, xz - wy),
+         (xy - wz, ww - xx + yy - zz, yz + wx),
+         (xz + wy, yz - wx, ww - xx - yy + zz))
+    if norm != _ONE:
+        inv = norm.inverse()
+        m = tuple(tuple(v * inv for v in row) for row in m)
+    return mat_neg(m) if odd else m
 
 
 @dataclass(frozen=True)
@@ -141,26 +146,28 @@ class VersorGroup:
     def odd_elements(self) -> tuple[Multivector, ...]:
         return tuple(e for e in self.elements if e.is_odd())
 
+    def spinors(self) -> SpinorSet:
+        """The rotors: the even half, in the elements' sorted order."""
+        return SpinorSet(self.group, self.even_elements())
+
 
 def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
-    Every element keeps pure parity and unit magnitude; the induced
-    orthogonal transformation of each versor is tabulated exactly.
+    Every element must have pure parity (``induced_matrix`` checks it) and
+    unit magnitude; the induced orthogonal transformation of each versor is
+    tabulated exactly.  The even half are the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
     if not rs.verified:
         raise ValueError("verify the root system before generating versors")
-    seed = {_unit_vector(r) for r in rs.roots}
-    elements = _sorted_mvs(_mulclose(seed, cap))
+    elements = _mulclose({_unit(vector(*r)) for r in rs.roots}, cap)
     transforms = {}
     for elem in elements:
-        if not (elem.is_even() or elem.is_odd()):
-            raise ValueError("closure produced a mixed-parity element")
-        if elem.mag2() != FieldScalar(1):
-            raise ValueError("closure produced a non-unit versor")
         transforms[elem] = induced_matrix(elem)
+        if elem.mag2() != _ONE:
+            raise ValueError("closure produced a non-unit versor")
     return VersorGroup(rs.group, elements, transforms)
 
 
@@ -232,27 +239,20 @@ class PureQuaternionCheck:
 
 
 def check_pure_quaternion_subrootsystem(rs: RootSystem,
-                                        ss: SpinorSet | None = None,
                                         vg: VersorGroup | None = None,
                                         ) -> PureQuaternionCheck:
-    """Decide whether the Hodge duals of all roots sit inside the spinor set.
+    """Decide whether the Hodge duals of all roots are even versors.
 
     Independently determines whether the central inversion is generated and
     asserts the biconditional between the two.  The witness is the versor
     realizing -identity when the property holds, or a dual root that escapes
     the spinor set when it fails.
     """
-    if ss is None:
-        ss = generate_rotors(rs)
     if vg is None:
         vg = generate_versor_group(rs)
-    rotor_set = set(ss.rotors)
-    missing = None
-    for root in rs.roots:
-        dual = _unit_vector(root).dual()
-        if dual not in rotor_set:
-            missing = dual
-            break
+    rotors = set(vg.even_elements())
+    duals = (_unit(vector(*root)).dual() for root in rs.roots)
+    missing = next((d for d in duals if d not in rotors), None)
     holds = missing is None
     central_versor = next((e for e, m in vg.transforms.items()
                            if m == _NEG_IDENTITY), None)
@@ -300,15 +300,8 @@ def quaternion_reflection_equivalence(v: Multivector, a: Multivector) -> bool:
     """
     if not v.is_vector() or not a.is_vector():
         raise ValueError("expected pure vectors")
-    m2 = a.mag2()
-    if not m2:
-        raise ValueError("reflection normal must be nonzero")
-    s = m2.sqrt()
-    if s is None:
-        raise ValueError(f"|a| = sqrt({m2}) does not lie in the field")
-    unit_a = a * s.inverse()
     left = Quaternion.from_spinor(reflect(v, a).dual())
-    x = Quaternion.from_spinor(unit_a.dual())
+    x = Quaternion.from_spinor(_unit(a).dual())
     vq = Quaternion.from_spinor(v.dual())
     right = -(x * vq.conjugate() * x)
     return left == right
@@ -339,18 +332,16 @@ class PipelineResult:
 
 
 def run_pipeline(simple: SimpleRoots) -> PipelineResult:
-    """Roots -> rotors -> versors -> census -> rank-4 system, end to end."""
-    from .coxeter import orbit_closure
-
+    """Roots -> versors -> rotors, census -> rank-4 system, end to end."""
     rs = orbit_closure(simple)
     cert = verify_root_system(rs)
     if not cert.passed:
         raise ValueError(f"closure of {simple.group} is not a root system: "
                          f"axiom {cert.axiom}")
-    ss = generate_rotors(rs)
     vg = generate_versor_group(rs)
+    ss = vg.spinors()
     census = classify_versors(vg)
-    pure = check_pure_quaternion_subrootsystem(rs, ss=ss, vg=vg)
+    pure = check_pure_quaternion_subrootsystem(rs, vg=vg)
     rank4 = induce_rank4(ss)
     two = generate_from_two(simple)
     return PipelineResult(

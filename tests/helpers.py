@@ -78,3 +78,25 @@ def rand_vector_mv(rng, bound: int = 6) -> Multivector:
     for idx in (1, 2, 3):
         comps[idx] = rand_scalar(rng, bound)
     return Multivector(comps)
+
+
+def brute_force_orbit(roots, cap: int = 5000) -> set:
+    """Smallest set holding ``roots`` and their negatives that is closed
+    under reflection in every member.  Each round reflects every member in
+    every member, with its own reflection formula."""
+    zero = FieldScalar(0)
+
+    def reflect(lam, alpha):
+        aa = sum((a * a for a in alpha), zero)
+        t = sum((x * a for x, a in zip(lam, alpha)), zero)
+        c = (t + t) / aa
+        return tuple(x - c * a for x, a in zip(lam, alpha))
+
+    out = set(roots) | {tuple(-x for x in r) for r in roots}
+    while True:
+        new = {reflect(lam, alpha) for alpha in out for lam in out} - out
+        if not new:
+            return out
+        out |= new
+        if len(out) > cap:
+            raise ValueError(f"brute-force orbit exceeded {cap} roots")

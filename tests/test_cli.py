@@ -226,13 +226,13 @@ def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("run_pipeline", "generate_rotors", "generate_versor_group",
+    for name in ("run_pipeline", "generate_versor_group",
                  "generate_from_two"):
         monkeypatch.setattr(spingroup, name, counted(name))
     path = tmp_path / "out.json"
     code, out = run(capsys, *argv, "--json", str(path))
-    assert calls == {"run_pipeline": 1, "generate_rotors": 1,
-                     "generate_versor_group": 1, "generate_from_two": 1}
+    assert calls == {"run_pipeline": 1, "generate_versor_group": 1,
+                     "generate_from_two": 1}
     assert (code, out) == (plain_code, plain_out)
     want = json.dumps(spingroup.export_json(pipelines["a3"]), indent=2,
                       sort_keys=True) + "\n"

@@ -8,10 +8,11 @@ from itertools import product
 
 import pytest
 
-from helpers import rand_scalar
+from helpers import brute_force_orbit, rand_scalar
 from spinroots import clifford
-from spinroots.coxeter import (GROUPS, RootSystem, SimpleRoots, cartan_matrix,
-                               coxeter_group_order, decompose_in_simple, dot,
+from spinroots.coxeter import (GROUPS, Certificate, RootSystem, SimpleRoots,
+                               cartan_matrix, coxeter_group_order,
+                               decompose_in_simple, dot,
                                mat_det3, mat_identity, mat_mul, mat_order,
                                negate, orbit_closure, reflect_root,
                                reflection_matrix, simple_roots,
@@ -136,6 +137,37 @@ def test_closure_is_deterministic():
     assert a.roots == tuple(sorted(a.roots))
 
 
+def _rotate(q, root):
+    # rotation by the integer quaternion q, a rational matrix
+    a, b, c, d = q
+    n = a * a + b * b + c * c + d * d
+    m = ((a*a + b*b - c*c - d*d, 2*(b*c - a*d), 2*(b*d + a*c)),
+         (2*(b*c + a*d), a*a - b*b + c*c - d*d, 2*(c*d - a*b)),
+         (2*(b*d - a*c), 2*(c*d + a*b), a*a - b*b - c*c + d*d))
+    return tuple(sum((Fraction(m[i][j], n) * root[j] for j in range(3)),
+                     _ZERO) for i in range(3))
+
+
+def test_closure_equals_brute_force(closures):
+    for g in GROUPS:
+        assert set(closures[g].roots) == \
+            brute_force_orbit(simple_roots(g).roots)
+    # a rotated frame with no zero coordinate in any root
+    q = (1, -2, 4, 5)
+    turned = SimpleRoots("h3", tuple(_rotate(q, r)
+                                     for r in simple_roots("h3").roots))
+    rs = orbit_closure(turned)
+    assert set(rs.roots) == brute_force_orbit(turned.roots)
+    assert set(rs.roots) == {_rotate(q, r) for r in closures["h3"].roots}
+    assert all(all(r) for r in rs.roots)
+    # a redundant generating set: the B3 simple roots and one more root
+    b3 = simple_roots("b3").roots
+    extra = SimpleRoots("b3", b3 + (_r(1, 0, 0),))
+    rs = orbit_closure(extra)
+    assert set(rs.roots) == brute_force_orbit(extra.roots)
+    assert rs.roots == closures["b3"].roots
+
+
 def test_closure_contains_simples_and_negatives(closures):
     for g, rs in closures.items():
         for root in simple_roots(g).roots:
@@ -175,7 +207,26 @@ def test_verify_axiom1_scalar_multiple():
     assert not cert.passed
     assert cert.axiom == 1
     assert set(cert.witness) <= set(rs.roots)
+    first, second = cert.witness
+    assert second not in (first, negate(first))
     assert not rs.verified
+
+
+def test_verify_zero_root_in_each_position(closures):
+    zero = _r(0, 0, 0)
+    roots = closures["a1x3"].roots
+    for pos in range(len(roots) + 1):
+        rs = RootSystem("bad", 3, roots[:pos] + (zero,) + roots[pos:])
+        assert verify_root_system(rs) == Certificate(
+            False, 1, (zero,), "zero vector present")
+        assert not rs.verified
+
+
+def test_verify_duplicate_root_is_a_scalar_multiple():
+    alpha = _r(1, 0, 0)
+    rs = RootSystem("bad", 3, (alpha, negate(alpha), alpha))
+    cert = verify_root_system(rs)
+    assert (cert.passed, cert.axiom) == (False, 1)
 
 
 def test_verify_axiom1_missing_negative():
@@ -314,3 +365,21 @@ def test_root_system_json_round_trip(closures):
     back = RootSystem.from_json(data)
     assert back.roots == rs.roots
     assert back.verified
+
+
+def test_root_system_json_verified_flag_is_not_trusted():
+    from spinroots.spingroup import generate_versor_group
+    e1, e1x2 = _r(1, 0, 0), _r(2, 0, 0)
+    forged = RootSystem("forged", 3, (e1, e1x2, negate(e1), negate(e1x2)),
+                        verified=True).to_json()
+    assert forged["verified"] is True
+    back = RootSystem.from_json(forged)
+    assert not back.verified
+    assert back.to_json()["verified"] is False
+    with pytest.raises(ValueError, match="verify"):
+        generate_versor_group(back)
+    # an honest file loads verified and writes back the same JSON
+    honest = orbit_closure(simple_roots("b3"))
+    verify_root_system(honest)
+    data = honest.to_json()
+    assert RootSystem.from_json(dict(data, verified=False)).to_json() == data

@@ -17,7 +17,7 @@ from spinroots.quaternion import Quaternion, catalog
 from spinroots.spingroup import (classify_versors,
                                  check_pure_quaternion_subrootsystem,
                                  catalog_match, generate_from_two,
-                                 generate_rotors, generate_versor_group,
+                                 generate_versor_group,
                                  induce_rank4, induced_matrix,
                                  quaternion_reflection_equivalence)
 
@@ -100,10 +100,11 @@ def test_generate_from_two_needs_three_roots():
 
 def test_generate_rotors_preconditions(closures):
     rs = RootSystem("a1x3", 3, closures["a1x3"].roots)  # not verified
-    with pytest.raises(ValueError):
-        generate_rotors(rs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="verify"):
         generate_versor_group(rs)
+    rank4 = RootSystem("a1x3", 4, closures["a1x3"].roots, verified=True)
+    with pytest.raises(ValueError, match="rank-3"):
+        generate_versor_group(rank4)
 
 
 def test_versor_group_sizes(versor_groups):
@@ -143,6 +144,34 @@ def test_rotor_to_rotation_two_to_one(versor_groups):
         assert set(counts.values()) == {2}
         for e in vg.even_elements():
             assert vg.transforms[e] == vg.transforms[-e]
+
+
+def _sandwich_matrix(v):
+    cols = [clifford.apply_versor(e, v).vector_coords()
+            for e in (E1, E2, clifford.E3)]
+    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+
+
+def test_induced_matrix_equals_sandwich_columns(versor_groups):
+    # all 400 versors of the four groups, even and odd
+    count = 0
+    for vg in versor_groups.values():
+        for v in vg.elements:
+            want = _sandwich_matrix(v)
+            assert induced_matrix(v) == want
+            assert vg.transforms[v] == want
+            count += 1
+    assert count == 400
+
+
+def test_induced_matrix_of_non_unit_and_bad_versors():
+    for v in (vector(1, 1, 0), vector(0, 2, 0) + I,
+              Multivector((1, 0, 0, 0, 2, 0, 1, 0))):
+        assert induced_matrix(v * FieldScalar(2)) == _sandwich_matrix(v)
+    with pytest.raises(ValueError, match="pure even or pure odd"):
+        induced_matrix(ONE + E1)
+    with pytest.raises(ValueError, match="null"):
+        induced_matrix(Multivector((0,) * 8))
 
 
 def test_induced_matrices_are_orthogonal(versor_groups):
@@ -275,7 +304,7 @@ def test_closure_cap():
     closed = orbit_closure(simple_roots("h3"))
     verify_root_system(closed)
     with pytest.raises(ValueError, match="cap"):
-        generate_rotors(closed, cap=50)
+        generate_versor_group(closed, cap=50)
 
 
 def test_pure_check_standalone(closures):
