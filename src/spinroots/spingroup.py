@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .clifford import Multivector, reflect, vector
-from .coxeter import (Matrix, RootSystem, SimpleRoots, mat_det3,
-                      mat_identity, mat_mul, mat_neg, mat_order,
+from .coxeter import (CapExceeded, Matrix, RootSystem, SimpleRoots,
+                      mat_det3, mat_identity, mat_mul, mat_neg, mat_order,
                       orbit_closure, verify_root_system)
 from .exactfield import FieldScalar
 from .quaternion import Quaternion, catalog
@@ -25,6 +25,7 @@ RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
 BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
                "hurwitz+duals": "2O", "icosians": "2I"}
 
+_ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
 _NEG_IDENTITY = mat_neg(mat_identity(3))
 
@@ -67,7 +68,7 @@ def _mulclose(seed, cap: int):
                         elements.add(h)
                         new.append(h)
                         if len(elements) > cap:
-                            raise ValueError(
+                            raise CapExceeded(
                                 f"closure exceeded cap of {cap} elements")
             frontier = new
     return tuple(sorted(elements, key=lambda m: m.components))
@@ -155,8 +156,10 @@ def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
     Every element must have pure parity (``induced_matrix`` checks it) and
-    unit magnitude; the induced orthogonal transformation of each versor is
-    tabulated exactly.  The even half are the rotors.
+    unit magnitude; for a pure-parity element of Cl(3), v * ~v is the sum
+    of the squares of its components.  The induced orthogonal
+    transformation of each versor is tabulated exactly.  The even half are
+    the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
@@ -166,7 +169,7 @@ def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     transforms = {}
     for elem in elements:
         transforms[elem] = induced_matrix(elem)
-        if elem.mag2() != _ONE:
+        if sum((c * c for c in elem.components if c), _ZERO) != _ONE:
             raise ValueError("closure produced a non-unit versor")
     return VersorGroup(rs.group, elements, transforms)
 

@@ -80,21 +80,35 @@ def rand_vector_mv(rng, bound: int = 6) -> Multivector:
     return Multivector(comps)
 
 
+def reflect_oracle(lam, alpha):
+    """s_alpha(lam) from the textbook formula, independent of ``coxeter``."""
+    zero = FieldScalar(0)
+    aa = sum((a * a for a in alpha), zero)
+    t = sum((x * a for x, a in zip(lam, alpha)), zero)
+    c = (t + t) / aa
+    return tuple(x - c * a for x, a in zip(lam, alpha))
+
+
+def brute_force_axiom2(roots):
+    """The first pair (alpha, lam) of members, in an n^2 scan, with
+    s_alpha(lam) outside the set; None when the set is closed under
+    reflection in every member."""
+    members = set(roots)
+    for alpha in roots:
+        for lam in roots:
+            if reflect_oracle(lam, alpha) not in members:
+                return alpha, lam
+    return None
+
+
 def brute_force_orbit(roots, cap: int = 5000) -> set:
     """Smallest set holding ``roots`` and their negatives that is closed
     under reflection in every member.  Each round reflects every member in
     every member, with its own reflection formula."""
-    zero = FieldScalar(0)
-
-    def reflect(lam, alpha):
-        aa = sum((a * a for a in alpha), zero)
-        t = sum((x * a for x, a in zip(lam, alpha)), zero)
-        c = (t + t) / aa
-        return tuple(x - c * a for x, a in zip(lam, alpha))
-
     out = set(roots) | {tuple(-x for x in r) for r in roots}
     while True:
-        new = {reflect(lam, alpha) for alpha in out for lam in out} - out
+        new = {reflect_oracle(lam, alpha)
+               for alpha in out for lam in out} - out
         if not new:
             return out
         out |= new

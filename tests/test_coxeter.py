@@ -8,10 +8,11 @@ from itertools import product
 
 import pytest
 
-from helpers import brute_force_orbit, rand_scalar
+from helpers import (brute_force_axiom2, brute_force_orbit, rand_scalar,
+                     reflect_oracle)
 from spinroots import clifford
-from spinroots.coxeter import (GROUPS, Certificate, RootSystem, SimpleRoots,
-                               cartan_matrix, coxeter_group_order,
+from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
+                               SimpleRoots, cartan_matrix, coxeter_group_order,
                                decompose_in_simple, dot,
                                mat_det3, mat_identity, mat_mul, mat_order,
                                negate, orbit_closure, reflect_root,
@@ -190,6 +191,21 @@ def test_closure_cap_guards_nontermination():
         orbit_closure(bad, cap=50)
 
 
+def test_orbit_closure_cap_is_typed():
+    bad = SimpleRoots("bad", (_r(1, 0, 0),
+                              _r(Fraction(3, 5), Fraction(4, 5), 0)))
+    with pytest.raises(CapExceeded,
+                       match="orbit closure exceeded cap of 50 elements"):
+        orbit_closure(bad, cap=50)
+
+
+def test_mat_order_cap_is_typed():
+    refl = reflection_matrix(_r(1, 0, 0))
+    r2 = reflection_matrix(_r(Fraction(3, 5), Fraction(4, 5), 0))
+    with pytest.raises(CapExceeded, match="matrix order exceeds cap of 60"):
+        mat_order(mat_mul(refl, r2), cap=60)
+
+
 def test_verify_passes_on_closures(closures):
     for rs in closures.values():
         assert rs.verified
@@ -242,6 +258,65 @@ def test_verify_axiom2_escape():
     cert = verify_root_system(rs)
     assert not cert.passed
     assert cert.axiom == 2
+    _assert_axiom2_witness(cert, rs.roots)
+
+
+def _assert_axiom2_witness(cert, roots):
+    """The witness (alpha, lam) lies in the set and s_alpha(lam) does not."""
+    alpha, lam = cert.witness
+    assert alpha in roots and lam in roots
+    assert reflect_oracle(lam, alpha) not in set(roots)
+    assert cert.message == "reflection image escapes the set"
+
+
+def _check_axiom2_against_brute_force(roots):
+    """verify_root_system agrees with the n^2 check on a set that meets
+    axiom 1; returns the verdict."""
+    rs = RootSystem("t", len(roots[0]), tuple(roots))
+    cert = verify_root_system(rs)
+    closed = brute_force_axiom2(rs.roots) is None
+    assert cert.passed == closed == rs.verified
+    if not closed:
+        assert cert.axiom == 2
+        _assert_axiom2_witness(cert, rs.roots)
+    return closed
+
+
+def test_verify_axiom2_agrees_with_brute_force(pipelines):
+    for res in pipelines.values():
+        assert _check_axiom2_against_brute_force(res.root_system.roots)
+        assert _check_axiom2_against_brute_force(res.rank4.roots)
+    q = (1, -2, 4, 5)
+    turned = [_rotate(q, r) for r in pipelines["h3"].root_system.roots]
+    assert _check_axiom2_against_brute_force(turned)
+    # turned roots in another order give other generators
+    assert _check_axiom2_against_brute_force(turned[::-1])
+
+
+def test_verify_axiom2_on_random_subsets(pipelines):
+    """Seeded negation-closed subsets of the F4 and H4 roots: random sets
+    of pairs, sub-root systems generated by a few roots, and those with one
+    more pair; each verdict matches the n^2 check."""
+    rng = random.Random(20120507)
+    verdicts = []
+    for g in ("b3", "h3"):
+        roots = pipelines[g].rank4.roots
+        pairs = sorted({min(r, negate(r)) for r in roots})
+        for trial in range(36):
+            kind = trial % 3
+            if kind == 0:
+                chosen = rng.sample(pairs, rng.randint(1, 6))
+                subset = set(chosen) | {negate(r) for r in chosen}
+            else:
+                few = rng.sample(pairs, rng.randint(1, 3))
+                subset = brute_force_orbit(few)
+                if kind == 2:
+                    extra = rng.choice(pairs)
+                    subset |= {extra, negate(extra)}
+            order = sorted(subset)
+            rng.shuffle(order)
+            verdicts.append(_check_axiom2_against_brute_force(order))
+    assert 10 < sum(verdicts) < len(verdicts) - 10
 
 
 def test_cartan_matrices_exact():

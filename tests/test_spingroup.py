@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import rand_nonzero_scalar, rand_vector_mv
-from spinroots import clifford
+from spinroots import clifford, spingroup
 from spinroots.clifford import E1, E2, I, ONE, Multivector, vector
-from spinroots.coxeter import RootSystem, mat_det3, simple_roots
+from spinroots.coxeter import CapExceeded, RootSystem, mat_det3, simple_roots
 from spinroots.exactfield import FieldScalar
 from spinroots.quaternion import Quaternion, catalog
 from spinroots.spingroup import (classify_versors,
@@ -305,6 +305,23 @@ def test_closure_cap():
     verify_root_system(closed)
     with pytest.raises(ValueError, match="cap"):
         generate_versor_group(closed, cap=50)
+
+
+def test_closure_cap_is_typed(closures):
+    with pytest.raises(CapExceeded,
+                       match="closure exceeded cap of 50 elements"):
+        generate_versor_group(closures["h3"], cap=50)
+    with pytest.raises(CapExceeded, match="cap of 50"):
+        generate_from_two(simple_roots("h3"), cap=50)
+
+
+def test_versor_group_rejects_non_unit_versors(closures, monkeypatch):
+    # a closure that hands back pure-parity elements of norm 4 and 2
+    for bad in (vector(2, 0, 0), E1 * E2 + ONE):
+        monkeypatch.setattr(spingroup, "_mulclose",
+                            lambda seed, cap, bad=bad: (ONE, bad))
+        with pytest.raises(ValueError, match="non-unit versor"):
+            generate_versor_group(closures["a1x3"])
 
 
 def test_pure_check_standalone(closures):
