@@ -3,9 +3,8 @@
 from .clifford import (E1, E2, E3, I, Multivector, apply_versor, reflect,
                        rotate, scalar, vector)
 from .coxeter import (GROUPS, CapExceeded, CartanMatrix, RootSystem,
-                      SimpleRoots, cartan_matrix, coxeter_group_order,
-                      orbit_closure, reflect_root, simple_roots,
-                      verify_root_system)
+                      SimpleRoots, cartan_matrix, orbit_closure,
+                      reflect_root, simple_roots, verify_root_system)
 from .exactfield import ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU, ZERO, FieldScalar
 from .quaternion import Quaternion, apply_pq, catalog
 from .spingroup import (SpinorSet, VersorGroup, catalog_match,

@@ -32,7 +32,7 @@ _HALF = Fraction(1, 2)
 
 
 class CapExceeded(ValueError):
-    """A closure or power loop ran past its cap, as on malformed input."""
+    """A closure ran past its cap, as on malformed input."""
 
 
 def _root(*vals) -> Root:
@@ -123,10 +123,20 @@ class RootSystem:
 
     @classmethod
     def from_json(cls, data) -> RootSystem:
-        """Load the roots and verify them; the input's flag is not trusted."""
+        """Load the roots and verify them.  Neither the input's flag nor its
+        rank is trusted: the rank is the roots' common length, and a stated
+        rank that disagrees, or roots of mixed lengths, raise ValueError."""
         roots = tuple(tuple(FieldScalar.from_json(c) for c in r)
                       for r in data["roots"])
-        rs = cls(data["group"], data["rank"], roots)
+        lengths = {len(r) for r in roots}
+        if len(lengths) != 1:
+            raise ValueError(f"roots must share one length, got "
+                             f"{sorted(lengths)}")
+        rank = lengths.pop()
+        if data["rank"] != rank:
+            raise ValueError(f"stated rank {data['rank']!r} disagrees with "
+                             f"roots of length {rank}")
+        rs = cls(data["group"], rank, roots)
         verify_root_system(rs)
         return rs
 
@@ -185,10 +195,11 @@ def verify_root_system(rs: RootSystem) -> Certificate:
     reflection in each of its members.
 
     Axiom 2 is checked by generators.  Walking the roots in order, a root
-    not yet in the orbit becomes a generator and the whole orbit is
-    reflected in the generators again until it closes.  Every image must
-    lie in the set, or the generator and the reflected root (both members)
-    are the witness.  If none escapes, the set is W_G G for the group W_G
+    not yet in the orbit becomes a generator.  The old orbit is already
+    closed under the old generators, so it is reflected in the new one
+    only, and each new root in all of them: each root meets each generator
+    once.  Every image must lie in the set, or the generator and the
+    reflected root (both members) are the witness.  If none escapes, the set is W_G G for the group W_G
     that the generators' reflections generate, so each member is
     beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
     into itself: axiom 2 holds exactly, with O(n |G|) reflections.
@@ -215,25 +226,60 @@ def verify_root_system(rs: RootSystem) -> Certificate:
         if beta in orbit:
             continue
         gens.append((beta, _reflection_scale(beta)))
+        work = [(lam, gens[-1:]) for lam in orbit] + [(beta, gens)]
         orbit.add(beta)
-        frontier = list(orbit)
-        while frontier:
-            new = []
-            for lam in frontier:
-                for alpha, scaled in gens:
-                    image = _reflect_scaled(lam, alpha, scaled)
-                    if image not in root_set:
-                        return Certificate(False, 2, (alpha, lam),
-                                           "reflection image escapes the set")
-                    if image not in orbit:
-                        orbit.add(image)
-                        new.append(image)
-            frontier = new
+        while work:
+            lam, using = work.pop()
+            for alpha, scaled in using:
+                image = _reflect_scaled(lam, alpha, scaled)
+                if image not in root_set:
+                    return Certificate(False, 2, (alpha, lam),
+                                       "reflection image escapes the set")
+                if image not in orbit:
+                    orbit.add(image)
+                    work.append((image, gens))
     rs.verified = True
     return Certificate(True)
 
 
 # -- Cartan data ------------------------------------------------------------
+
+# cos^2 theta -> order n of the rotation through 2 theta, theta = pi k / n
+_QUARTER = Fraction(1, 4)
+_ROTATION_ORDER = {
+    _ONE: 1,                                # theta = 0
+    _ZERO: 2,                               # pi/2
+    FieldScalar(_QUARTER): 3,               # pi/3
+    FieldScalar(_HALF): 4,                  # pi/4
+    TAU * TAU * _QUARTER: 5,                # pi/5
+    SIGMA * SIGMA * _QUARTER: 5,            # 2pi/5
+    FieldScalar(3 * _QUARTER): 6,           # pi/6
+    (_ONE + _S) * _HALF: 8,                 # pi/8
+    (_ONE - _S) * _HALF: 8,                 # 3pi/8
+    (FieldScalar(2) + TAU) * _QUARTER: 10,  # pi/10
+    (FieldScalar(2) + SIGMA) * _QUARTER: 10,  # 3pi/10
+}
+
+
+def rotation_order(c2: FieldScalar) -> int:
+    """Order of the rotation through 2 theta, given c2 = cos^2 theta.
+
+    Such a rotation is s_a s_b for roots at angle theta, or the rotation
+    of a unit rotor with scalar part cos theta.  The table is complete for
+    the field.  A rotation of order n > 2 has cos(2 theta) = 2 c2 - 1,
+    which generates Q(cos 2pi/n), of degree phi(n)/2.  The subfields of
+    Q(sqrt2, sqrt5) are Q, Q(sqrt2), Q(sqrt5), Q(sqrt10) and the whole
+    field: degree 1, 2 or 4, and none a cyclic quartic.  So phi(n) is 2, 4
+    or 8, and of those n only 3, 4, 5, 6, 8 and 10 fit: 12 and 24 need
+    sqrt3, and 15, 16, 20 and 30 give cyclic quartics.  Any other c2 is a
+    rotation of infinite order and raises ValueError.
+    """
+    try:
+        return _ROTATION_ORDER[c2]
+    except KeyError:
+        raise ValueError(f"cos^2 = {c2} gives a rotation of infinite "
+                         "order") from None
+
 
 @dataclass(frozen=True)
 class CartanMatrix:
@@ -244,99 +290,20 @@ class CartanMatrix:
 def cartan_matrix(simple: SimpleRoots) -> CartanMatrix:
     """A_ij = 2 (a_i|a_j) / (a_i|a_i), plus the orders of the products s_i s_j.
 
-    The orders are measured on the exact reflection matrices rather than
-    read off the angle, so they stay meaningful even for generator sets
-    that are not a strict simple system.
+    s_i s_j is the rotation through twice the angle between a_i and a_j, so
+    its order is ``rotation_order`` of c2 = (a_i|a_j)^2 / (|a_i|^2 |a_j|^2),
+    read off the angle for any generator set, strict simple system or not.
+    Every c2 of the field is either in that table or a rotation of infinite
+    order, which raises ValueError.
     """
     roots = simple.roots
-    n = len(roots)
+    norms = [dot(a, a) for a in roots]
     entries = tuple(
-        tuple((dot(a, b) + dot(a, b)) * dot(a, a).inverse() for b in roots)
-        for a in roots)
-    refls = [reflection_matrix(a) for a in roots]
+        tuple((dot(a, b) + dot(a, b)) * na.inverse() for b in roots)
+        for a, na in zip(roots, norms))
     orders = tuple(
-        tuple(1 if i == j else mat_order(mat_mul(refls[i], refls[j]))
-              for j in range(n))
-        for i in range(n))
+        tuple(1 if i == j else rotation_order(
+            dot(a, b) * dot(a, b) * (norms[i] * norms[j]).inverse())
+            for j, b in enumerate(roots))
+        for i, a in enumerate(roots))
     return CartanMatrix(entries, orders)
-
-
-def decompose_in_simple(root: Root, simple: SimpleRoots) -> tuple[FieldScalar, ...]:
-    """Exact coefficients of a root over the simple roots (linear solve)."""
-    n = len(simple.roots)
-    # augmented system: columns are the simple roots
-    rows = [[simple.roots[j][i] for j in range(n)] + [root[i]]
-            for i in range(len(root))]
-    if len(rows) != n:
-        raise ValueError("rank mismatch between root and simple system")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise ValueError("simple roots are linearly dependent")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
-
-
-def coxeter_group_order(rs: RootSystem) -> int:
-    """Number of distinct orthogonal transformations the reflections generate."""
-    if rs.rank != 3:
-        raise ValueError("group order is computed for rank-3 root systems")
-    if not rs.verified:
-        raise ValueError("verify the root system before asking for its order")
-    from . import spingroup
-
-    vg = spingroup.generate_versor_group(rs)
-    return len(set(vg.transforms.values()))
-
-
-# -- small exact matrices ----------------------------------------------------
-
-Matrix = tuple[tuple[FieldScalar, ...], ...]
-
-
-def mat_identity(n: int = 3) -> Matrix:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                 for i in range(n))
-
-
-def mat_mul(m: Matrix, n: Matrix) -> Matrix:
-    size = len(m)
-    return tuple(
-        tuple(sum((m[i][k] * n[k][j] for k in range(size)), _ZERO)
-              for j in range(size))
-        for i in range(size))
-
-
-def mat_neg(m: Matrix) -> Matrix:
-    return tuple(tuple(-v for v in row) for row in m)
-
-
-def mat_det3(m: Matrix) -> FieldScalar:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def mat_order(m: Matrix, cap: int = 120) -> int:
-    identity = mat_identity(len(m))
-    power = m
-    for k in range(1, cap + 1):
-        if power == identity:
-            return k
-        power = mat_mul(power, m)
-    raise CapExceeded(f"matrix order exceeds cap of {cap}")
-
-
-def reflection_matrix(alpha: Root) -> Matrix:
-    """Matrix of s_alpha in the standard basis (columns are images)."""
-    n = len(alpha)
-    basis = [tuple(_ONE if i == j else _ZERO for j in range(n))
-             for i in range(n)]
-    cols = [reflect_root(e, alpha) for e in basis]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))

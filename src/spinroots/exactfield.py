@@ -378,10 +378,6 @@ class FieldScalar:
 
     # -- conversions, display ----------------------------------------------
 
-    def is_rational(self) -> bool:
-        a, b, c, d, _ = self._v
-        return not (b or c or d)
-
     def approx(self) -> float:
         """Floating-point value, for display only."""
         a, b, c, d, den = self._v

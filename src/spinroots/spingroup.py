@@ -3,10 +3,14 @@
 One multiplicative closure of the unit root vectors realizes the full
 reflection group as unit versors.  A spinor is a product of two
 reflections, so the binary polyhedral group of rotors is the even half of
-that closure, and its quaternion images are the rank-4 root systems.  The
-matrix of each versor is read off its four components: in Cl(3) the
-pseudoscalar I is central, every odd versor v is I times an even one, and
-v acts as minus the rotation of I*v.
+that closure, and its quaternion images are the rank-4 root systems.
+
+In Cl(3) the pseudoscalar I is central with I^2 = -1, so every odd versor
+is v = I R with R = -I v even, and a versor is a parity bit plus one
+quaternion.  The closure runs on these (parity, quaternion) pairs, one
+Hamilton product per step.  A unit versor's transformation is fixed by
+the rotation of R, whose order follows from its scalar part cos theta
+(``coxeter.rotation_order``), so the census needs no matrices.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .clifford import Multivector, reflect, vector
-from .coxeter import (CapExceeded, Matrix, RootSystem, SimpleRoots,
-                      mat_det3, mat_identity, mat_mul, mat_neg, mat_order,
-                      orbit_closure, verify_root_system)
+from .clifford import I, Multivector, reflect, scalar, vector
+from .coxeter import (CapExceeded, RootSystem, SimpleRoots, orbit_closure,
+                      rotation_order, verify_root_system)
 from .exactfield import FieldScalar
 from .quaternion import Quaternion, catalog
 
@@ -27,7 +30,7 @@ BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
-_NEG_IDENTITY = mat_neg(mat_identity(3))
+_MINUS_ONE = scalar(-1)
 
 
 def _unit(v: Multivector) -> Multivector:
@@ -44,34 +47,49 @@ def _unit(v: Multivector) -> Multivector:
 
 def _mulclose(seed, cap: int):
     """Smallest set containing ``seed`` and closed under the geometric
-    product, as a tuple sorted by components.
+    product, as a tuple of Multivectors sorted by components.
 
-    Generators are accreted one by one: a seed element already inside the
-    running closure contributes nothing new, so the generator list stays
-    short and the closure needs |result| * |generators| products instead of
-    |result| * |seed|.
+    Each element is held as (parity, quaternion): an even R as
+    (0, from_spinor(R)), an odd v = I R as (1, from_spinor(R)) with
+    R = -I v.  Since I is central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B,
+    and from_spinor reverses products, so a step is one Hamilton product
+    q_B q_A, a parity XOR, and a negation when both are odd (I^2 = -1).
+
+    Generators are accreted one by one; a seed element already inside the
+    running closure is skipped.  The old closure is closed under the old
+    generators, so it is multiplied by the new generator only, and each
+    new element by all of them: each element meets each generator once.
     """
-    elements: set[Multivector] = set()
-    gens: list[Multivector] = []
+    def pair(v: Multivector):
+        if v.is_even():
+            return 0, Quaternion.from_spinor(v)
+        if v.is_odd():
+            return 1, Quaternion.from_spinor(-(I * v))
+        raise ValueError("versor must have pure even or pure odd grade")
+
+    elements: set[tuple[int, Quaternion]] = set()
+    gens: list[tuple[int, Quaternion]] = []
     for s in sorted(seed, key=lambda m: m.components):
-        if s in elements:
+        g = pair(s)
+        if g in elements:
             continue
-        gens.append(s)
-        elements.add(s)
-        frontier = list(elements)
-        while frontier:
-            new = []
-            for f in frontier:
-                for g in gens:
-                    h = f * g
-                    if h not in elements:
-                        elements.add(h)
-                        new.append(h)
-                        if len(elements) > cap:
-                            raise CapExceeded(
-                                f"closure exceeded cap of {cap} elements")
-            frontier = new
-    return tuple(sorted(elements, key=lambda m: m.components))
+        gens.append(g)
+        work = [(e, gens[-1:]) for e in elements] + [(g, gens)]
+        elements.add(g)
+        while work:
+            (a, qa), using = work.pop()
+            for b, qb in using:
+                qh = qb * qa
+                h = (a ^ b, -qh if a & b else qh)
+                if h not in elements:
+                    elements.add(h)
+                    work.append((h, gens))
+                    if len(elements) > cap:
+                        raise CapExceeded(
+                            f"closure exceeded cap of {cap} elements")
+    versors = (I * q.to_spinor() if odd else q.to_spinor()
+               for odd, q in elements)
+    return tuple(sorted(versors, key=lambda m: m.components))
 
 
 @dataclass(frozen=True)
@@ -97,49 +115,13 @@ def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> SpinorSet:
     return SpinorSet(simple.group, _mulclose(seed, cap))
 
 
-def induced_matrix(versor: Multivector) -> Matrix:
-    """Exact 3x3 matrix of the orthogonal map the versor performs.
-
-    An even versor R = w + I b, with b = (x, y, z), sends v to
-    ((w^2 - |b|^2) v + 2 (b|v) b + 2 w v x b) / (w^2 + |b|^2), a quadratic
-    form in its four components.  An odd versor v is I times the even
-    versor -I v and acts as minus its rotation.
-    """
-    c = versor.components
-    # blade 5 = s2s3 = I s1, blade 6 = s3s1 = I s2, blade 4 = s1s2 = I s3
-    if versor.is_even():
-        odd, w, x, y, z = False, c[0], c[5], c[6], c[4]
-    elif versor.is_odd():
-        odd, w, x, y, z = True, -c[7], c[1], c[2], c[3]
-    else:
-        raise ValueError("versor must have pure even or pure odd grade")
-    ww, xx, yy, zz = w * w, x * x, y * y, z * z
-    norm = ww + xx + yy + zz
-    if not norm:
-        raise ValueError("null versor has no inverse")
-    w2, x2 = w + w, x + x  # for the doubled products
-    xy, xz, yz = x2 * y, x2 * z, (y + y) * z
-    wx, wy, wz = w2 * x, w2 * y, w2 * z
-    m = ((ww + xx - yy - zz, xy + wz, xz - wy),
-         (xy - wz, ww - xx + yy - zz, yz + wx),
-         (xz + wy, yz - wx, ww - xx - yy + zz))
-    if norm != _ONE:
-        inv = norm.inverse()
-        m = tuple(tuple(v * inv for v in row) for row in m)
-    return mat_neg(m) if odd else m
-
-
 @dataclass(frozen=True)
 class VersorGroup:
     group: str
     elements: tuple[Multivector, ...]
-    transforms: dict
 
     def __len__(self):
         return len(self.elements)
-
-    def matrices(self) -> set[Matrix]:
-        return set(self.transforms.values())
 
     def even_elements(self) -> tuple[Multivector, ...]:
         return tuple(e for e in self.elements if e.is_even())
@@ -155,23 +137,19 @@ class VersorGroup:
 def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
-    Every element must have pure parity (``induced_matrix`` checks it) and
-    unit magnitude; for a pure-parity element of Cl(3), v * ~v is the sum
-    of the squares of its components.  The induced orthogonal
-    transformation of each versor is tabulated exactly.  The even half are
-    the rotors.
+    Every element must have pure parity (``_mulclose`` checks it) and unit
+    magnitude; for a pure-parity element of Cl(3), v * ~v is the sum of
+    the squares of its components.  The even half are the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
     if not rs.verified:
         raise ValueError("verify the root system before generating versors")
     elements = _mulclose({_unit(vector(*r)) for r in rs.roots}, cap)
-    transforms = {}
     for elem in elements:
-        transforms[elem] = induced_matrix(elem)
         if sum((c * c for c in elem.components if c), _ZERO) != _ONE:
             raise ValueError("closure produced a non-unit versor")
-    return VersorGroup(rs.group, elements, transforms)
+    return VersorGroup(rs.group, elements)
 
 
 @dataclass(frozen=True)
@@ -201,37 +179,41 @@ class VersorCensus:
 def classify_versors(vg: VersorGroup) -> VersorCensus:
     """Census of the distinct induced transformations by parity and order.
 
-    Rotations are graded by their multiplicative order; an odd transformation
-    is a pure reflection when it squares to the identity without being the
-    central inversion, and a rotoinversion otherwise (the central inversion
-    counts among the rotoinversions).
+    A unit versor and its negative induce the same transformation, and no
+    other pair does, so every count is halved exactly when -1 is in the
+    group.  Each versor is read off one scalar part w: w = c[0] for an even
+    versor, and for an odd v = I R the scalar part c[7] of R = -I v.  An even
+    versor with w^2 = 1 is the identity, and otherwise a rotation of order
+    ``rotation_order(w^2)``.  An odd versor acts as minus the rotation of
+    R: with w = 0 that rotation is a half-turn and v a pure reflection;
+    with w^2 = 1, v = +-I is the central inversion, which counts among the
+    rotoinversions; any other odd versor is a rotoinversion.
     """
-    matrices = vg.matrices()
-    identity = mat_identity(3)
-    n_identity = 0
+    n_identity = reflections = rotoinversions = even = odd = 0
     rotations: Counter = Counter()
-    reflections = 0
-    rotoinversions = 0
-    even = odd = 0
     central = False
-    for m in matrices:
-        if mat_det3(m) == FieldScalar(1):
+    for v in vg.elements:
+        c = v.components
+        if v.is_even():
             even += 1
-            if m == identity:
+            w2 = c[0] * c[0]
+            if w2 == _ONE:
                 n_identity += 1
             else:
-                rotations[mat_order(m)] += 1
+                rotations[rotation_order(w2)] += 1
         else:
             odd += 1
-            if m == _NEG_IDENTITY:
-                central = True
-                rotoinversions += 1
-            elif mat_mul(m, m) == identity:
+            w = c[7]
+            if not w:
                 reflections += 1
             else:
                 rotoinversions += 1
-    return VersorCensus(len(matrices), n_identity, dict(rotations),
-                        reflections, rotoinversions, even, odd, central)
+                central = central or w * w == _ONE
+    k = 2 if _MINUS_ONE in vg.elements else 1
+    return VersorCensus(len(vg) // k, n_identity // k,
+                        {n: m // k for n, m in rotations.items()},
+                        reflections // k, rotoinversions // k,
+                        even // k, odd // k, central)
 
 
 @dataclass(frozen=True)
@@ -247,9 +229,10 @@ def check_pure_quaternion_subrootsystem(rs: RootSystem,
     """Decide whether the Hodge duals of all roots are even versors.
 
     Independently determines whether the central inversion is generated and
-    asserts the biconditional between the two.  The witness is the versor
-    realizing -identity when the property holds, or a dual root that escapes
-    the spinor set when it fails.
+    asserts the biconditional between the two: the central inversion is
+    realized by +-I, the only unit versors acting as -identity.  The witness
+    is that versor when the property holds, or a dual root that escapes the
+    spinor set when it fails.
     """
     if vg is None:
         vg = generate_versor_group(rs)
@@ -257,8 +240,9 @@ def check_pure_quaternion_subrootsystem(rs: RootSystem,
     duals = (_unit(vector(*root)).dual() for root in rs.roots)
     missing = next((d for d in duals if d not in rotors), None)
     holds = missing is None
-    central_versor = next((e for e, m in vg.transforms.items()
-                           if m == _NEG_IDENTITY), None)
+    plus_minus_i = (I, -I)
+    central_versor = next((e for e in vg.elements if e in plus_minus_i),
+                          None)
     central = central_versor is not None
     if holds != central:
         raise AssertionError(

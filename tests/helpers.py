@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from spinroots.clifford import Multivector
@@ -114,3 +115,153 @@ def brute_force_orbit(roots, cap: int = 5000) -> set:
         out |= new
         if len(out) > cap:
             raise ValueError(f"brute-force orbit exceeded {cap} roots")
+
+
+def turn(q, root):
+    """``root`` rotated by the integer quaternion q, through the rational
+    rotation matrix of q / |q|."""
+    a, b, c, d = q
+    n = a * a + b * b + c * c + d * d
+    m = ((a*a + b*b - c*c - d*d, 2*(b*c - a*d), 2*(b*d + a*c)),
+         (2*(b*c + a*d), a*a - b*b + c*c - d*d, 2*(c*d - a*b)),
+         (2*(b*d - a*c), 2*(c*d + a*b), a*a - b*b - c*c + d*d))
+    return tuple(sum((Fraction(m[i][j], n) * root[j] for j in range(3)),
+                     FieldScalar(0)) for i in range(3))
+
+
+def is_rational(x: FieldScalar) -> bool:
+    return not (x.b or x.c or x.d)
+
+
+def decompose_in_simple(root, simple) -> tuple[FieldScalar, ...]:
+    """Exact coefficients of a root over the simple roots (linear solve)."""
+    n = len(simple.roots)
+    # augmented system: columns are the simple roots
+    rows = [[simple.roots[j][i] for j in range(n)] + [root[i]]
+            for i in range(len(root))]
+    if len(rows) != n:
+        raise ValueError("rank mismatch between root and simple system")
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError("simple roots are linearly dependent")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return tuple(rows[i][n] for i in range(n))
+
+
+# -- exact 3x3 matrices: the reference for orders and the versor census ------
+
+def mat_identity(n: int = 3):
+    one, zero = FieldScalar(1), FieldScalar(0)
+    return tuple(tuple(one if i == j else zero for j in range(n))
+                 for i in range(n))
+
+
+def mat_mul(m, k):
+    size = len(m)
+    return tuple(
+        tuple(sum((m[i][t] * k[t][j] for t in range(size)), FieldScalar(0))
+              for j in range(size))
+        for i in range(size))
+
+
+def mat_neg(m):
+    return tuple(tuple(-v for v in row) for row in m)
+
+
+def mat_det3(m) -> FieldScalar:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def mat_order(m, cap: int = 120) -> int:
+    """Order of m by powering; ValueError past ``cap``."""
+    identity = mat_identity(len(m))
+    power = m
+    for k in range(1, cap + 1):
+        if power == identity:
+            return k
+        power = mat_mul(power, m)
+    raise ValueError(f"matrix order exceeds cap of {cap}")
+
+
+def reflection_matrix(alpha):
+    """Matrix of s_alpha in the standard basis (columns are images)."""
+    n = len(alpha)
+    basis = [tuple(FieldScalar(1 if i == j else 0) for j in range(n))
+             for i in range(n)]
+    cols = [reflect_oracle(e, alpha) for e in basis]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def induced_matrix(versor: Multivector):
+    """Exact 3x3 matrix of the orthogonal map the versor performs.
+
+    An even versor R = w + I b, with b = (x, y, z), sends v to
+    ((w^2 - |b|^2) v + 2 (b|v) b + 2 w v x b) / (w^2 + |b|^2), a quadratic
+    form in its four components.  An odd versor v is I times the even
+    versor -I v and acts as minus its rotation.
+    """
+    c = versor.components
+    # blade 5 = s2s3 = I s1, blade 6 = s3s1 = I s2, blade 4 = s1s2 = I s3
+    if versor.is_even():
+        odd, w, x, y, z = False, c[0], c[5], c[6], c[4]
+    elif versor.is_odd():
+        odd, w, x, y, z = True, -c[7], c[1], c[2], c[3]
+    else:
+        raise ValueError("versor must have pure even or pure odd grade")
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    norm = ww + xx + yy + zz
+    if not norm:
+        raise ValueError("null versor has no inverse")
+    w2, x2 = w + w, x + x  # for the doubled products
+    xy, xz, yz = x2 * y, x2 * z, (y + y) * z
+    wx, wy, wz = w2 * x, w2 * y, w2 * z
+    m = ((ww + xx - yy - zz, xy + wz, xz - wy),
+         (xy - wz, ww - xx + yy - zz, yz + wx),
+         (xz + wy, yz - wx, ww - xx - yy + zz))
+    if norm != FieldScalar(1):
+        inv = norm.inverse()
+        m = tuple(tuple(v * inv for v in row) for row in m)
+    return mat_neg(m) if odd else m
+
+
+def matrix_census(elements) -> dict:
+    """The versor census recomputed from the distinct induced matrices,
+    in the form of ``VersorCensus.to_json``."""
+    matrices = {induced_matrix(e) for e in elements}
+    identity = mat_identity(3)
+    minus_identity = mat_neg(identity)
+    rotations: Counter = Counter()
+    census = Counter()
+    central = False
+    for m in matrices:
+        if mat_det3(m) == FieldScalar(1):
+            census["even"] += 1
+            if m == identity:
+                census["identity"] += 1
+            else:
+                rotations[mat_order(m)] += 1
+        else:
+            census["odd"] += 1
+            if m == minus_identity:
+                central = True
+                census["rotoinversions"] += 1
+            elif mat_mul(m, m) == identity:
+                census["reflections"] += 1
+            else:
+                census["rotoinversions"] += 1
+    return {"transformations": len(matrices),
+            "identity": census["identity"],
+            "rotations": {str(k): v for k, v in sorted(rotations.items())},
+            "reflections": census["reflections"],
+            "rotoinversions": census["rotoinversions"],
+            "even": census["even"], "odd": census["odd"],
+            "central_inversion": central}

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from helpers import (rand_multivector, rand_nonzero_scalar, rand_scalar,
-                     rand_vector_mv)
+from helpers import (induced_matrix, rand_multivector, rand_nonzero_scalar,
+                     rand_scalar, rand_vector_mv)
 from spinroots import clifford
 from spinroots.clifford import E1, E2, E3, I, ONE, Multivector, reflect, vector
 from spinroots.coxeter import (RootSystem, cartan_matrix, simple_roots,
@@ -75,8 +75,10 @@ def test_criterion_4_group_orders(pipelines):
         from collections import Counter
         for g, res in pipelines.items():
             vg = res.versors
-            assert len(vg.matrices()) == TABLE_ORDER[g]
-            counts = Counter(vg.transforms[e] for e in vg.even_elements())
+            matrices = {e: induced_matrix(e) for e in vg.elements}
+            assert len(set(matrices.values())) == TABLE_ORDER[g]
+            assert res.census.transformations == TABLE_ORDER[g]
+            counts = Counter(matrices[e] for e in vg.even_elements())
             assert set(counts.values()) == {2}
 
 

@@ -2,22 +2,22 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from helpers import (brute_force_axiom2, brute_force_orbit, rand_scalar,
-                     reflect_oracle)
-from spinroots import clifford
+from helpers import (brute_force_axiom2, brute_force_orbit,
+                     decompose_in_simple, induced_matrix, is_rational,
+                     mat_det3, mat_identity, mat_mul, mat_order, rand_scalar,
+                     reflect_oracle, reflection_matrix, turn)
+from spinroots import clifford, coxeter
 from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
-                               SimpleRoots, cartan_matrix, coxeter_group_order,
-                               decompose_in_simple, dot,
-                               mat_det3, mat_identity, mat_mul, mat_order,
-                               negate, orbit_closure, reflect_root,
-                               reflection_matrix, simple_roots,
-                               verify_root_system)
+                               SimpleRoots, cartan_matrix, dot, negate,
+                               orbit_closure, reflect_root, rotation_order,
+                               simple_roots, verify_root_system)
 from spinroots.exactfield import SIGMA, SQRT2, TAU, FieldScalar
 
 _S = FieldScalar(0, Fraction(1, 2))       # 1/sqrt2
@@ -138,28 +138,17 @@ def test_closure_is_deterministic():
     assert a.roots == tuple(sorted(a.roots))
 
 
-def _rotate(q, root):
-    # rotation by the integer quaternion q, a rational matrix
-    a, b, c, d = q
-    n = a * a + b * b + c * c + d * d
-    m = ((a*a + b*b - c*c - d*d, 2*(b*c - a*d), 2*(b*d + a*c)),
-         (2*(b*c + a*d), a*a - b*b + c*c - d*d, 2*(c*d - a*b)),
-         (2*(b*d - a*c), 2*(c*d + a*b), a*a - b*b - c*c + d*d))
-    return tuple(sum((Fraction(m[i][j], n) * root[j] for j in range(3)),
-                     _ZERO) for i in range(3))
-
-
 def test_closure_equals_brute_force(closures):
     for g in GROUPS:
         assert set(closures[g].roots) == \
             brute_force_orbit(simple_roots(g).roots)
     # a rotated frame with no zero coordinate in any root
     q = (1, -2, 4, 5)
-    turned = SimpleRoots("h3", tuple(_rotate(q, r)
+    turned = SimpleRoots("h3", tuple(turn(q, r)
                                      for r in simple_roots("h3").roots))
     rs = orbit_closure(turned)
     assert set(rs.roots) == brute_force_orbit(turned.roots)
-    assert set(rs.roots) == {_rotate(q, r) for r in closures["h3"].roots}
+    assert set(rs.roots) == {turn(q, r) for r in closures["h3"].roots}
     assert all(all(r) for r in rs.roots)
     # a redundant generating set: the B3 simple roots and one more root
     b3 = simple_roots("b3").roots
@@ -199,11 +188,16 @@ def test_orbit_closure_cap_is_typed():
         orbit_closure(bad, cap=50)
 
 
-def test_mat_order_cap_is_typed():
-    refl = reflection_matrix(_r(1, 0, 0))
-    r2 = reflection_matrix(_r(Fraction(3, 5), Fraction(4, 5), 0))
-    with pytest.raises(CapExceeded, match="matrix order exceeds cap of 60"):
-        mat_order(mat_mul(refl, r2), cap=60)
+def test_cartan_matrix_rejects_infinite_order():
+    # cos^2 = 9/25 is no entry of the order table: s_1 s_2 turns through
+    # an angle that is no rational multiple of pi
+    bad = SimpleRoots("bad", (_r(1, 0, 0),
+                              _r(Fraction(3, 5), Fraction(4, 5), 0)))
+    with pytest.raises(ValueError, match="infinite order"):
+        cartan_matrix(bad)
+    for c2 in (FieldScalar(Fraction(9, 25)), FieldScalar(0, 1), -_HALF):
+        with pytest.raises(ValueError, match="infinite order"):
+            rotation_order(c2)
 
 
 def test_verify_passes_on_closures(closures):
@@ -287,7 +281,7 @@ def test_verify_axiom2_agrees_with_brute_force(pipelines):
         assert _check_axiom2_against_brute_force(res.root_system.roots)
         assert _check_axiom2_against_brute_force(res.rank4.roots)
     q = (1, -2, 4, 5)
-    turned = [_rotate(q, r) for r in pipelines["h3"].root_system.roots]
+    turned = [turn(q, r) for r in pipelines["h3"].root_system.roots]
     assert _check_axiom2_against_brute_force(turned)
     # turned roots in another order give other generators
     assert _check_axiom2_against_brute_force(turned[::-1])
@@ -317,6 +311,65 @@ def test_verify_axiom2_on_random_subsets(pipelines):
             rng.shuffle(order)
             verdicts.append(_check_axiom2_against_brute_force(order))
     assert 10 < sum(verdicts) < len(verdicts) - 10
+
+
+def test_verify_reflects_the_old_orbit_in_the_new_generator_only(
+        pipelines, monkeypatch):
+    # the old orbit is reflected in each new generator and each new root in
+    # every generator, so each root meets each generator once: 48 x 5 on
+    # F4 and 120 x 4 on H4 (reflecting the whole orbit in every generator
+    # each time one is added takes 440 and 592)
+    calls = []
+    original = coxeter._reflect_scaled
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(coxeter, "_reflect_scaled", counted)
+    counts = {}
+    for g in ("b3", "h3"):
+        calls.clear()
+        rank4 = pipelines[g].rank4
+        assert verify_root_system(RootSystem(g, 4, rank4.roots)).passed
+        counts[g] = len(calls)
+    assert counts == {"b3": 240, "h3": 480}
+
+
+def test_rotation_order_agrees_with_matrix_powering(closures):
+    # every pair of roots of the four closures and of H3 turned by
+    # (1, -2, 4, 5): the table's order of s_a s_b equals its matrix order
+    root_sets = [rs.roots for rs in closures.values()]
+    q = (1, -2, 4, 5)
+    root_sets.append(tuple(turn(q, r) for r in closures["h3"].roots))
+    seen = set()
+    for roots in root_sets:
+        refls = {a: reflection_matrix(a) for a in roots}
+        for a, b in combinations(roots, 2):
+            ab = dot(a, b)
+            c2 = ab * ab * (dot(a, a) * dot(b, b)).inverse()
+            order = rotation_order(c2)
+            assert order == mat_order(mat_mul(refls[a], refls[b]))
+            seen.add(order)
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_rotation_order_table_against_float_oracle():
+    # each entry is cos^2(pi k / n) for k prime to n, and together they are
+    # every such value for n = 1, 2, 3, 4, 5, 6, 8, 10
+    table = coxeter._ROTATION_ORDER
+    assert len(table) == 11
+    want = sorted((round(math.cos(math.pi * k / n) ** 2, 12), n)
+                  for n in (1, 2, 3, 4, 5, 6, 8, 10)
+                  for k in range(n // 2 + 1) if math.gcd(k, n) == 1)
+    got = sorted((round(c2.approx(), 12), n) for c2, n in table.items())
+    assert got == want
+    for c2, n in table.items():
+        theta = math.acos(math.sqrt(c2.approx()))
+        turns = [m * 2 * theta / (2 * math.pi) for m in range(1, n + 1)]
+        assert abs(turns[-1] - round(turns[-1])) < 1e-9
+        assert all(abs(t - round(t)) > 1e-6 for t in turns[:-1])
+        assert rotation_order(c2) == n
 
 
 def test_cartan_matrices_exact():
@@ -349,7 +402,7 @@ def test_cartan_matrices_exact():
 
 
 def _is_integer(x: FieldScalar) -> bool:
-    return x.is_rational() and x.a.denominator == 1
+    return is_rational(x) and x.a.denominator == 1
 
 
 def _in_z_sqrt2(x: FieldScalar) -> bool:
@@ -402,17 +455,13 @@ def test_h3_preset_is_not_a_strict_simple_system(closures):
     assert not _uniform_sign(coeffs)
 
 
-def test_group_orders(closures):
-    assert {g: coxeter_group_order(rs) for g, rs in closures.items()} == \
-        {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
-
-
-def test_group_order_preconditions(pipelines, closures):
-    unverified = RootSystem("a1x3", 3, closures["a1x3"].roots)
-    with pytest.raises(ValueError):
-        coxeter_group_order(unverified)
-    with pytest.raises(ValueError):
-        coxeter_group_order(pipelines["a3"].rank4)
+def test_group_orders(pipelines):
+    # the census's count and the number of distinct induced matrices
+    want = {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
+    assert {g: res.census.transformations
+            for g, res in pipelines.items()} == want
+    assert {g: len({induced_matrix(e) for e in res.versors.elements})
+            for g, res in pipelines.items()} == want
 
 
 def test_matrix_helpers():
@@ -440,6 +489,20 @@ def test_root_system_json_round_trip(closures):
     back = RootSystem.from_json(data)
     assert back.roots == rs.roots
     assert back.verified
+
+
+def test_root_system_json_rank_is_derived(closures):
+    data = closures["a3"].to_json()
+    with pytest.raises(ValueError, match="stated rank 4"):
+        RootSystem.from_json(dict(data, rank=4))
+    assert RootSystem.from_json(data).rank == 3
+
+
+def test_root_system_json_rejects_mixed_lengths(closures):
+    data = closures["a3"].to_json()
+    roots = data["roots"] + [data["roots"][0] + [["0/1"] * 4]]
+    with pytest.raises(ValueError, match="one length"):
+        RootSystem.from_json(dict(data, roots=roots))
 
 
 def test_root_system_json_verified_flag_is_not_trusted():

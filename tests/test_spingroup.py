@@ -8,17 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_nonzero_scalar, rand_vector_mv
+from helpers import (induced_matrix, mat_det3, mat_identity, mat_mul,
+                     matrix_census, rand_nonzero_scalar, rand_vector_mv, turn)
 from spinroots import clifford, spingroup
 from spinroots.clifford import E1, E2, I, ONE, Multivector, vector
-from spinroots.coxeter import CapExceeded, RootSystem, mat_det3, simple_roots
+from spinroots.coxeter import (CapExceeded, RootSystem, SimpleRoots,
+                               orbit_closure, simple_roots,
+                               verify_root_system)
 from spinroots.exactfield import FieldScalar
 from spinroots.quaternion import Quaternion, catalog
 from spinroots.spingroup import (classify_versors,
                                  check_pure_quaternion_subrootsystem,
                                  catalog_match, generate_from_two,
                                  generate_versor_group,
-                                 induce_rank4, induced_matrix,
+                                 induce_rank4,
                                  quaternion_reflection_equivalence)
 
 EXPECTED_SPINORS = {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
@@ -134,16 +137,17 @@ def test_even_versors_are_the_rotors(versor_groups, spinor_sets):
 
 
 def test_induced_transformation_counts(versor_groups):
-    assert {g: len(vg.matrices()) for g, vg in versor_groups.items()} == \
+    assert {g: len({induced_matrix(e) for e in vg.elements})
+            for g, vg in versor_groups.items()} == \
         {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
 
 
 def test_rotor_to_rotation_two_to_one(versor_groups):
     for vg in versor_groups.values():
-        counts = Counter(vg.transforms[e] for e in vg.even_elements())
+        counts = Counter(induced_matrix(e) for e in vg.even_elements())
         assert set(counts.values()) == {2}
         for e in vg.even_elements():
-            assert vg.transforms[e] == vg.transforms[-e]
+            assert induced_matrix(e) == induced_matrix(-e)
 
 
 def _sandwich_matrix(v):
@@ -157,9 +161,7 @@ def test_induced_matrix_equals_sandwich_columns(versor_groups):
     count = 0
     for vg in versor_groups.values():
         for v in vg.elements:
-            want = _sandwich_matrix(v)
-            assert induced_matrix(v) == want
-            assert vg.transforms[v] == want
+            assert induced_matrix(v) == _sandwich_matrix(v)
             count += 1
     assert count == 400
 
@@ -176,9 +178,8 @@ def test_induced_matrix_of_non_unit_and_bad_versors():
 
 def test_induced_matrices_are_orthogonal(versor_groups):
     # columns of each induced matrix form an orthonormal frame
-    from spinroots.coxeter import mat_identity, mat_mul
     for vg in versor_groups.values():
-        for m in list(vg.matrices())[:20]:
+        for m in [induced_matrix(e) for e in vg.elements[:40]]:
             mt = tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
             assert mat_mul(mt, m) == mat_identity(3)
             assert mat_det3(m) in (_ONE, -_ONE)
@@ -194,6 +195,35 @@ def test_census_h3(versor_groups):
     assert census.even == 60
     assert census.odd == 60
     assert census.central_inversion
+
+
+def _turned_h3_versors():
+    q = (1, -2, 4, 5)
+    turned = SimpleRoots("h3", tuple(turn(q, r)
+                                     for r in simple_roots("h3").roots))
+    rs = orbit_closure(turned)
+    assert verify_root_system(rs).passed
+    return generate_versor_group(rs)
+
+
+def test_census_matches_matrix_oracle(versor_groups):
+    # the scalar-part census against the census of the distinct induced
+    # matrices, in the preset frames and in a turned frame with dense versors
+    groups = dict(versor_groups, turned_h3=_turned_h3_versors())
+    for g, vg in groups.items():
+        assert classify_versors(vg).to_json() == matrix_census(vg.elements), g
+    assert not set(groups["turned_h3"].elements) & set(
+        versor_groups["h3"].elements) - {ONE, -ONE, I, -I}
+
+
+def test_census_of_a_group_without_minus_one():
+    # {1, e1} is the reflection group of order 2: no -1, so nothing halves
+    vg = spingroup.VersorGroup("t", spingroup._mulclose({E1}, cap=4))
+    assert vg.elements == (E1, ONE)
+    census = classify_versors(vg)
+    assert census.to_json() == matrix_census(vg.elements)
+    assert (census.transformations, census.identity, census.reflections,
+            census.odd) == (2, 1, 1, 1)
 
 
 def test_census_other_groups(versor_groups):
@@ -223,6 +253,7 @@ def test_pure_quaternion_witnesses(pipelines):
     # when the property holds the witness realizes -identity
     for g in ("a1x3", "b3", "h3"):
         w = pipelines[g].pure.witness
+        assert w in (I, -I)
         assert induced_matrix(w) == tuple(
             tuple(-_ONE if i == j else FieldScalar(0) for j in range(3))
             for i in range(3))
@@ -297,6 +328,27 @@ def test_quaternion_reflection_equivalence_errors():
         quaternion_reflection_equivalence(E1, vector(1, 1, 1))
     with pytest.raises(ValueError):
         quaternion_reflection_equivalence(ONE, E1)
+
+
+def test_closure_multiplies_each_element_by_each_generator_once(
+        closures, monkeypatch):
+    # the closure so far is multiplied by a new generator only, so B3 and
+    # H3 (three generators each) take 96 x 3 and 240 x 3 Hamilton products
+    # (multiplying the whole closure by every generator each time one is
+    # added takes 322 and 762)
+    calls = []
+    original = Quaternion.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    counts = {}
+    for g in ("b3", "h3"):
+        calls.clear()
+        counts[g] = (len(generate_versor_group(closures[g])), len(calls))
+    assert counts == {"b3": (96, 288), "h3": (240, 720)}
 
 
 def test_closure_cap():
