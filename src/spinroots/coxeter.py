@@ -187,7 +187,7 @@ def _direction(x: Root) -> Root:
 
 
 def verify_root_system(rs: RootSystem) -> Certificate:
-    """Exactly check both root-system axioms; set the flag on success.
+    """Exactly check both root-system axioms; set the flag to the verdict.
 
     Axiom 1: no root is zero, and each root's only scalar multiples in the
     set are itself and its negative (which must be present), so a direction
@@ -204,6 +204,7 @@ def verify_root_system(rs: RootSystem) -> Certificate:
     beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
     into itself: axiom 2 holds exactly, with O(n |G|) reflections.
     """
+    rs.verified = False
     roots = rs.roots
     root_set = set(roots)
     for alpha in roots:

@@ -10,12 +10,15 @@ An element is stored as four integer coordinates over one shared positive
 denominator, (a + b*sqrt2 + c*sqrt5 + d*sqrt10) / den, reduced by a single
 gcd after every operation (integral-basis coordinates over a common
 denominator, Cohen, *A Course in Computational Algebraic Number Theory*,
-4.2).  The sign is decided exactly by integer comparisons.
+4.2).  The reduced tuple is canonical, so equality and the hash are
+those of the tuple.  The sign is decided exactly by integer comparisons,
+and square roots are taken down the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2)
+in field arithmetic.  ``Fraction`` appears only at the edges: the
+constructor, the ``a``-``d`` components, JSON and display.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -34,61 +37,6 @@ def _parts(x) -> tuple[int, int]:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-_F0 = Fraction(0)
-
-
-def _sqrt_fraction(t):
-    """Exact square root of a rational, or None if t is not a square."""
-    if t < 0:
-        return None
-    num, den = t.numerator, t.denominator
-    rn = isqrt(num)
-    rd = isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-# Elements of Q(sqrt5) are handled as (a, c) pairs meaning a + c*sqrt5.
-
-def _q5_mul(x, y):
-    return (x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _q5_div(x, y):
-    n = y[0] * y[0] - 5 * y[1] * y[1]
-    if n == 0:
-        raise ZeroDivisionError("division by zero in Q(sqrt5)")
-    conj = (y[0] / n, -y[1] / n)
-    return _q5_mul(x, conj)
-
-
-def _q5_sqrt(x):
-    """A square root of a + c*sqrt5 inside Q(sqrt5), or None."""
-    a, c = x
-    if c == 0:
-        p = _sqrt_fraction(a)
-        if p is not None:
-            return (p, _F0)
-        r = _sqrt_fraction(a / 5)
-        if r is not None:
-            return (_F0, r)
-        return None
-    # (p + r*sqrt5)^2 = a + c*sqrt5 forces z = p^2 to solve
-    # z^2 - a z + 5 c^2 / 4 = 0.
-    disc = _sqrt_fraction(a * a - 5 * c * c)
-    if disc is None:
-        return None
-    for z in ((a + disc) / 2, (a - disc) / 2):
-        p = _sqrt_fraction(z)
-        if p:
-            r = c / (2 * p)
-            cand = (p, r)
-            if _q5_mul(cand, cand) == (a, c):
-                return cand
-    return None
-
-
 def _sign2(p: int, q: int) -> int:
     """Sign of p + q*sqrt2 for integers p, q.
 
@@ -101,21 +49,6 @@ def _sign2(p: int, q: int) -> int:
     if not p or (p > 0) == (sq > 0):
         return sq
     return -sq if p * p > 2 * q * q else sq
-
-
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _ratio_hash(n: int, dinv: int) -> int:
-    """hash(Fraction(n, den)) given dinv = den**-1 mod the hash modulus.
-
-    Python's numeric hash of a rational is n * den**-1 reduced modulo a
-    prime, so it does not depend on whether n/den is in lowest terms.
-    """
-    h = hash(hash(abs(n)) * dinv)
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
 
 
 _ZERO_V = (0, 0, 0, 0, 1)
@@ -134,7 +67,6 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> FieldScalar:
         den //= g
     x = _new(FieldScalar)
     _setattr(x, "_v", (a, b, c, d, den))
-    _setattr(x, "_hash", None)
     return x
 
 
@@ -143,11 +75,13 @@ class FieldScalar:
     """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with exact rational components.
 
     Immutable.  Internally four integers over one positive denominator
-    whose common gcd is 1, so equality is tuple equality; ``a``, ``b``,
-    ``c`` and ``d`` give the components as lowest-terms Fractions.
+    whose common gcd is 1, so equality and the hash are those of that
+    tuple; ``a``, ``b``, ``c`` and ``d`` give the components as
+    lowest-terms Fractions.  ``sqrt`` solves one quadratic per level of
+    the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2), in field arithmetic.
     """
 
-    __slots__ = ("_v", "_hash")
+    __slots__ = ("_v",)
 
     def __new__(cls, a=0, b=0, c=0, d=0):
         parts = (_parts(a), _parts(b), _parts(c), _parts(d))
@@ -271,21 +205,7 @@ class FieldScalar:
         return (self - other).sign() < 0
 
     def __hash__(self):
-        """Equal to hash((self.a, self.b, self.c, self.d)), computed
-        without building the Fractions."""
-        h = self._hash
-        if h is None:
-            a, b, c, d, den = self._v
-            if den == 1:
-                h = hash((a, b, c, d))
-            elif den % _HASH_MODULUS:
-                dinv = pow(den, -1, _HASH_MODULUS)
-                h = hash((_ratio_hash(a, dinv), _ratio_hash(b, dinv),
-                          _ratio_hash(c, dinv), _ratio_hash(d, dinv)))
-            else:
-                h = hash((self.a, self.b, self.c, self.d))
-            _setattr(self, "_hash", h)
-        return h
+        return hash(self._v)
 
     def __bool__(self):
         return self._v != _ZERO_V
@@ -339,40 +259,14 @@ class FieldScalar:
         return sx if dominant > 0 else sy
 
     def sqrt(self) -> FieldScalar | None:
-        """The nonnegative square root if it lies in the field, else None."""
-        if not self:
-            return ZERO
+        """The nonnegative square root if it lies in the field, else None.
+
+        Found by ``_sqrt_in`` down the tower, and checked by squaring.
+        """
         if self.sign() < 0:
             return None
-        # Split as A + B*sqrt2 with A, B in Q(sqrt5).
-        A = (self.a, self.c)
-        B = (self.b, self.d)
-        root = None
-        if B == (_F0, _F0):
-            p = _q5_sqrt(A)
-            if p is not None:
-                root = FieldScalar(p[0], 0, p[1], 0)
-            else:
-                q = _q5_sqrt((A[0] / 2, A[1] / 2))
-                if q is not None:
-                    root = FieldScalar(0, q[0], 0, q[1])
-        else:
-            # x = P + Q*sqrt2 with P^2 + 2Q^2 = A and 2PQ = B, so z = P^2
-            # solves z^2 - A z + B^2/2 = 0 over Q(sqrt5).
-            aa = _q5_mul(A, A)
-            bb = _q5_mul(B, B)
-            disc = _q5_sqrt((aa[0] - 2 * bb[0], aa[1] - 2 * bb[1]))
-            if disc is not None:
-                for z in (((A[0] + disc[0]) / 2, (A[1] + disc[1]) / 2),
-                          ((A[0] - disc[0]) / 2, (A[1] - disc[1]) / 2)):
-                    p = _q5_sqrt(z)
-                    if p is not None and p != (_F0, _F0):
-                        q = _q5_div((B[0] / 2, B[1] / 2), p)
-                        root = FieldScalar(p[0], q[0], p[1], q[1])
-                        break
-        if root is None:
-            return None
-        if root * root != self:
+        root = _sqrt_in(self, 2)
+        if root is None or root * root != self:
             return None
         return root if root.sign() >= 0 else -root
 
@@ -418,6 +312,46 @@ class FieldScalar:
             else:
                 terms.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(terms) if terms else "0"
+
+
+def _sqrt_in(x: FieldScalar, m: int) -> FieldScalar | None:
+    """A square root of x in the tower level that adjoins sqrt m, or None.
+
+    Level 2 is Q(sqrt5)(sqrt2), level 5 is Q(sqrt5) and level 1 is Q; x
+    must lie in its level.  With x = u + v sqrt m and u, v one level down,
+    a root p + q sqrt m has p^2 + m q^2 = u and 2pq = v.  If v = 0 the
+    root is sqrt u or sqrt m sqrt(u/m).  Otherwise z = p^2 solves
+    z^2 - u z + m v^2/4 = 0, so z = (u +- s)/2 with s = sqrt(u^2 - m v^2),
+    and q = v/(2p) (Cohen, 4.2).  Any root returned squares to x.
+    """
+    a, b, c, d, n = x._v
+    if m == 1:
+        if a < 0:
+            return None
+        ra, rn = isqrt(a), isqrt(n)
+        exact = ra * ra == a and rn * rn == n
+        return _make(ra, 0, 0, 0, rn) if exact else None
+    if m == 2:
+        u, v = _make(a, 0, c, 0, n), _make(b, 0, d, 0, n)
+        below, sqrt_m = 5, SQRT2
+    else:
+        u, v = _make(a, 0, 0, 0, n), _make(c, 0, 0, 0, n)
+        below, sqrt_m = 1, SQRT5
+    if not v:
+        root = _sqrt_in(u, below)
+        if root is not None:
+            return root
+        root = _sqrt_in(u * _make(1, 0, 0, 0, m), below)
+        return None if root is None else root * sqrt_m
+    s = _sqrt_in(u * u - v * v * m, below)
+    if s is None:
+        return None
+    half = _make(1, 0, 0, 0, 2)
+    for z in ((u + s) * half, (u - s) * half):
+        p = _sqrt_in(z, below)
+        if p:
+            return p + v * half * p.inverse() * sqrt_m
+    return None
 
 
 def _coerce(x):

@@ -223,10 +223,10 @@ class PureQuaternionCheck:
     witness: object
 
 
-def check_pure_quaternion_subrootsystem(rs: RootSystem,
-                                        vg: VersorGroup | None = None,
-                                        ) -> PureQuaternionCheck:
-    """Decide whether the Hodge duals of all roots are even versors.
+def check_pure_quaternion_subrootsystem(
+        rs: RootSystem, vg: VersorGroup) -> PureQuaternionCheck:
+    """Decide whether the Hodge duals of all roots are even versors of
+    ``vg``, the versor group of ``rs``.
 
     Independently determines whether the central inversion is generated and
     asserts the biconditional between the two: the central inversion is
@@ -234,8 +234,6 @@ def check_pure_quaternion_subrootsystem(rs: RootSystem,
     is that versor when the property holds, or a dual root that escapes the
     spinor set when it fails.
     """
-    if vg is None:
-        vg = generate_versor_group(rs)
     rotors = set(vg.even_elements())
     duals = (_unit(vector(*root)).dual() for root in rs.roots)
     missing = next((d for d in duals if d not in rotors), None)

@@ -19,6 +19,7 @@ from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
                                orbit_closure, reflect_root, rotation_order,
                                simple_roots, verify_root_system)
 from spinroots.exactfield import SIGMA, SQRT2, TAU, FieldScalar
+from spinroots.spingroup import generate_versor_group
 
 _S = FieldScalar(0, Fraction(1, 2))       # 1/sqrt2
 _HALF = FieldScalar(Fraction(1, 2))
@@ -230,6 +231,19 @@ def test_verify_zero_root_in_each_position(closures):
         assert verify_root_system(rs) == Certificate(
             False, 1, (zero,), "zero vector present")
         assert not rs.verified
+
+
+def test_failed_verification_clears_the_flag():
+    # a flag set before a failing check must not survive it, or the versor
+    # closure would run on a set that is not a root system
+    axiom1 = (_r(1, 0, 0), _r(1, 1, 0))
+    axiom2 = (_r(1, 0, 0), _r(-1, 0, 0), _r(_S, _S, 0), _r(-_S, -_S, 0))
+    for roots, axiom in ((axiom1, 1), (axiom2, 2)):
+        rs = RootSystem("x", 3, roots, verified=True)
+        assert verify_root_system(rs).axiom == axiom
+        assert rs.verified is False
+        with pytest.raises(ValueError, match="verify the root system"):
+            generate_versor_group(rs)
 
 
 def test_verify_duplicate_root_is_a_scalar_multiple():

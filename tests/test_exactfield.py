@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
-import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from helpers import rand_nonzero_scalar, rand_scalar
+from spinroots import cli, coxeter, quaternion, spingroup
 from spinroots.exactfield import (ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU, ZERO,
                                   FieldScalar)
 
@@ -102,6 +104,41 @@ def test_sqrt_of_squares_randomized():
         assert root == (x if x.sign() >= 0 else -x)
 
 
+def _assert_root(x, root):
+    assert root is not None and root.sign() >= 0
+    assert root * root == x
+    assert math.isclose(root.approx(), math.sqrt(x.approx()),
+                        rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_sqrt_at_each_level_of_the_tower():
+    # x^2 k for x in Q, Q(sqrt5) and the whole field: a square exactly when
+    # k is one of 1, 2, 5, 10 (times a square), never for 3, 7 or -1
+    rng = random.Random(29)
+    levels = (lambda x: FieldScalar(x.a), lambda x: FieldScalar(x.a, 0, x.c),
+              lambda x: x)
+    for _ in range(100):
+        for level in levels:
+            x = level(rand_nonzero_scalar(rng, 7))
+            if not x:
+                continue
+            square = x * x
+            for k in (1, 2, 5, 10):
+                _assert_root(square * k, (square * k).sqrt())
+            for k in (3, 7, -1):
+                assert (square * k).sqrt() is None
+
+
+def test_sqrt_needs_the_quadratic_at_both_levels():
+    cases = [(r * r, r) for r in (TAU + SQRT2, ONE + TAU * SQRT2)]
+    cases.append((FieldScalar(3, 2), ONE + SQRT2))
+    for x, root in cases:
+        _assert_root(x, x.sqrt())
+        assert x.sqrt() == root
+    for x in (ONE + SQRT2, FieldScalar(2) + SQRT2):
+        assert x.sqrt() is None
+
+
 def test_division():
     rng = random.Random(13)
     for _ in range(200):
@@ -143,6 +180,15 @@ def test_hash_consistency():
     z = SQRT2 * FieldScalar(Fraction(1, 6)) * FieldScalar(3)
     assert z == FieldScalar(0, Fraction(1, 2))
     assert hash(z) == hash(FieldScalar(0, Fraction(1, 2)))
+    # equal by different routes: arithmetic, JSON and the Fraction form
+    rng = random.Random(31)
+    for _ in range(300):
+        x = rand_scalar(rng, 40)
+        y = rand_nonzero_scalar(rng, 40)
+        for same in (x * y * y.inverse(), FieldScalar.from_json(x.to_json()),
+                     FieldScalar(x.a, x.b, x.c, x.d)):
+            assert same == x
+            assert hash(same) == hash(x)
 
 
 def test_str_rendering():
@@ -258,15 +304,32 @@ def test_json_components_reduced_separately():
                                     Fraction(-3, 4), Fraction(5))
 
 
-def test_hash_agrees_with_fraction_components():
-    # set iteration orders stay those of a tuple of four Fractions
-    rng = random.Random(23)
-    for _ in range(500):
-        x = rand_scalar(rng, 40) * rand_scalar(rng, 40)
-        assert hash(x) == hash((x.a, x.b, x.c, x.d))
-    modulus = sys.hash_info.modulus
-    x = FieldScalar(Fraction(3, modulus), Fraction(1, 2))
-    assert hash(x) == hash((x.a, x.b, x.c, x.d))
+def _outputs():
+    """The table report, and every preset's JSON bundle and rank-3 roots,
+    as JSON text."""
+    results = [spingroup.run_pipeline(coxeter.simple_roots(g))
+               for g in coxeter.GROUPS]
+    return json.dumps([cli.build_report()]
+                      + [[spingroup.export_json(res),
+                          res.root_system.to_json()] for res in results])
+
+
+def test_outputs_do_not_depend_on_the_field_hash(monkeypatch):
+    # every output is sorted, so a different hash (and with it every set
+    # and dict order of the closures) must leave the bytes alone
+    want = _outputs()
+    hashed = hash(TAU)
+    monkeypatch.setattr(FieldScalar, "__hash__",
+                        lambda self: hash(self._v[::-1]))
+    assert hash(TAU) != hashed
+    # rebuilt from its items: dict(d) would keep the stored hashes
+    monkeypatch.setattr(coxeter, "_ROTATION_ORDER",
+                        dict(coxeter._ROTATION_ORDER.items()))
+    quaternion.catalog.cache_clear()
+    try:
+        assert _outputs() == want
+    finally:
+        quaternion.catalog.cache_clear()
 
 
 def test_inverse_rejects_irrational_norm(monkeypatch):

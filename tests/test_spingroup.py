@@ -377,7 +377,8 @@ def test_versor_group_rejects_non_unit_versors(closures, monkeypatch):
 
 
 def test_pure_check_standalone(closures):
-    res = check_pure_quaternion_subrootsystem(closures["a3"])
+    res = check_pure_quaternion_subrootsystem(
+        closures["a3"], generate_versor_group(closures["a3"]))
     assert not res.holds
     assert not res.central_inversion
 
