@@ -173,11 +173,11 @@ class Multivector:
 
 
 def scalar(x) -> Multivector:
-    return Multivector((x, 0, 0, 0, 0, 0, 0, 0))
+    return Multivector((x,) + (F_ZERO,) * 7)
 
 
 def vector(x, y, z) -> Multivector:
-    return Multivector((0, x, y, z, 0, 0, 0, 0))
+    return Multivector((F_ZERO, x, y, z, F_ZERO, F_ZERO, F_ZERO, F_ZERO))
 
 
 ONE = scalar(F_ONE)

@@ -16,7 +16,7 @@ entry is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactfield import SIGMA, TAU, FieldScalar
@@ -108,7 +108,9 @@ class RootSystem:
     group: str
     rank: int
     roots: tuple[Root, ...]
-    verified: bool = False
+    # Set by ``verify_root_system`` (or an explicit assignment), never by
+    # the constructor, so a flag cannot be claimed at construction.
+    verified: bool = field(default=False, init=False)
 
     def __len__(self):
         return len(self.roots)

@@ -364,6 +364,25 @@ def _coerce(x):
     return None
 
 
+def to_ints(xs) -> tuple[tuple[int, ...], int]:
+    """The integer coordinates of a sequence of FieldScalars over their
+    least common denominator: coordinate j of xs[i] on the basis 1, sqrt2,
+    sqrt5, sqrt10 at index 4 i + j.  The result is reduced because each
+    element is: a prime dividing every coordinate and the denominator
+    would divide all of the element with the most factors of it in its
+    denominator.  So it is canonical, and tuple equality is equality of
+    the sequences."""
+    vs = [x._v for x in xs]
+    den = lcm(*(v[4] for v in vs))
+    return tuple([n * (den // v[4]) for v in vs for n in v[:4]]), den
+
+
+def from_ints(ints, den: int) -> tuple[FieldScalar, ...]:
+    """The FieldScalars whose coordinates over ``den > 0`` are ``ints``,
+    four to a scalar; the inverse of ``to_ints``."""
+    return tuple(_make(*ints[i:i + 4], den) for i in range(0, len(ints), 4))
+
+
 ZERO = FieldScalar(0)
 ONE = FieldScalar(1)
 SQRT2 = FieldScalar(0, 1)

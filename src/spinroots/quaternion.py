@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from . import clifford
-from .exactfield import RATIONAL_TYPES, SIGMA, TAU, FieldScalar
+from .exactfield import RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
 
 
 class Quaternion:
@@ -111,7 +111,7 @@ class Quaternion:
 
     def to_spinor(self) -> clifford.Multivector:
         q0, q1, q2, q3 = self.components
-        return clifford.Multivector((q0, 0, 0, 0, q3, q1, q2, 0))
+        return clifford.Multivector((q0, ZERO, ZERO, ZERO, q3, q1, q2, ZERO))
 
     # -- io -------------------------------------------------------------------
 

@@ -7,21 +7,26 @@ that closure, and its quaternion images are the rank-4 root systems.
 
 In Cl(3) the pseudoscalar I is central with I^2 = -1, so every odd versor
 is v = I R with R = -I v even, and a versor is a parity bit plus one
-quaternion.  The closure runs on these (parity, quaternion) pairs, one
-Hamilton product per step.  A unit versor's transformation is fixed by
-the rotation of R, whose order follows from its scalar part cos theta
-(``coxeter.rotation_order``), so the census needs no matrices.
+quaternion.  The closure runs on these pairs, the quaternion held as 16
+integer coordinates (4 components on the basis 1, sqrt2, sqrt5, sqrt10)
+over one denominator.  Left multiplication by a generator is a sparse
+integer matrix, so a step is one sparse product and one gcd; the result
+is sorted once, by the ranks of its distinct component values.  A unit
+versor's transformation is fixed by the rotation of R, whose order
+follows from its scalar part cos theta (``coxeter.rotation_order``), so
+the census needs no matrices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .clifford import I, Multivector, reflect, scalar, vector
 from .coxeter import (CapExceeded, RootSystem, SimpleRoots, orbit_closure,
                       rotation_order, verify_root_system)
-from .exactfield import FieldScalar
+from .exactfield import FieldScalar, from_ints, to_ints
 from .quaternion import Quaternion, catalog
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
@@ -45,51 +50,108 @@ def _unit(v: Multivector) -> Multivector:
     return v * s.inverse()
 
 
+def _pair(v: Multivector) -> tuple[int, Quaternion]:
+    """(parity, R) for an even versor R or an odd versor v = I R."""
+    if v.is_even():
+        return 0, Quaternion.from_spinor(v)
+    if v.is_odd():
+        c = v.components
+        return 1, Quaternion(c[7], -c[1], -c[2], -c[3])
+    raise ValueError("versor must have pure even or pure odd grade")
+
+
+def _generator(parity: int, q: Quaternion):
+    """Left multiplication by q as a sparse integer 16x16 matrix over one
+    denominator, stored by columns: column k holds the nonzero
+    (row, entry) pairs of the coordinates (``to_ints``) of q times the
+    basis quaternion whose coordinate k is 1."""
+    cols = []
+    for k in range(16):
+        unit = [0] * 16
+        unit[k] = 1
+        cols.append(to_ints((q * Quaternion(*from_ints(unit, 1))).components))
+    den = lcm(*(d for _, d in cols))
+    return parity, tuple(tuple((row, n * (den // d))
+                               for row, n in enumerate(col) if n)
+                         for col, d in cols), den
+
+
+def _step(gen, elem):
+    """The product of an element (a, coords, den) and a generator: one
+    sparse matrix product, a negation when both are odd, one gcd."""
+    b, cols, den_b = gen
+    a, coords, den = elem
+    out = [0] * 16
+    for x, col in zip(coords, cols):
+        if x:
+            for row, v in col:
+                out[row] += x * v
+    den *= den_b
+    g = gcd(*out, den)
+    s = -g if a & b else g
+    return a ^ b, tuple([n // s for n in out]), den // g
+
+
 def _mulclose(seed, cap: int):
     """Smallest set containing ``seed`` and closed under the geometric
     product, as a tuple of Multivectors sorted by components.
 
-    Each element is held as (parity, quaternion): an even R as
-    (0, from_spinor(R)), an odd v = I R as (1, from_spinor(R)) with
-    R = -I v.  Since I is central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B,
-    and from_spinor reverses products, so a step is one Hamilton product
-    q_B q_A, a parity XOR, and a negation when both are odd (I^2 = -1).
+    Each element is held as (parity, coords, den): an even R as parity 0
+    and the quaternion from_spinor(R), an odd v = I R as parity 1 and the
+    quaternion of R = -I v, each as its 16 integer coordinates over one
+    positive denominator, reduced (``exactfield.to_ints``; a step reduces
+    with one gcd), which is FieldScalar's own normal form widened to a
+    quaternion, so tuple equality is exact.
+    Since I is central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and
+    from_spinor reverses products, so a step multiplies q_A on the left
+    by q_B, XORs the parities and negates when both are odd (I^2 = -1).
+    Left multiplication by q_B is Q-linear, so each generator becomes an
+    integer matrix, built once from ``Quaternion.__mul__`` by
+    ``_generator``, and ``_step`` applies it.
 
     Generators are accreted one by one; a seed element already inside the
     running closure is skipped.  The old closure is closed under the old
     generators, so it is multiplied by the new generator only, and each
     new element by all of them: each element meets each generator once.
-    """
-    def pair(v: Multivector):
-        if v.is_even():
-            return 0, Quaternion.from_spinor(v)
-        if v.is_odd():
-            return 1, Quaternion.from_spinor(-(I * v))
-        raise ValueError("versor must have pure even or pure odd grade")
 
-    elements: set[tuple[int, Quaternion]] = set()
-    gens: list[tuple[int, Quaternion]] = []
+    The Multivectors are built once from the coordinates
+    (``exactfield.from_ints``), and sorted by the ranks of their
+    components among the distinct values, which are sorted once in exact
+    order: the same order as sorting by components.
+    """
+    elements: set[tuple[int, tuple[int, ...], int]] = set()
+    gens: list = []
     for s in sorted(seed, key=lambda m: m.components):
-        g = pair(s)
+        parity, q = _pair(s)
+        g = (parity, *to_ints(q.components))
         if g in elements:
             continue
-        gens.append(g)
+        gens.append(_generator(parity, q))
         work = [(e, gens[-1:]) for e in elements] + [(g, gens)]
         elements.add(g)
         while work:
-            (a, qa), using = work.pop()
-            for b, qb in using:
-                qh = qb * qa
-                h = (a ^ b, -qh if a & b else qh)
+            elem, using = work.pop()
+            for gen in using:
+                h = _step(gen, elem)
                 if h not in elements:
                     elements.add(h)
                     work.append((h, gens))
                     if len(elements) > cap:
                         raise CapExceeded(
                             f"closure exceeded cap of {cap} elements")
-    versors = (I * q.to_spinor() if odd else q.to_spinor()
-               for odd, q in elements)
-    return tuple(sorted(versors, key=lambda m: m.components))
+    z = _ZERO
+    values = {z: z}
+    versors = []
+    for odd, coords, den in elements:
+        if odd:
+            coords = coords[:4] + tuple(-n for n in coords[4:])
+        q0, q1, q2, q3 = (values.setdefault(x, x)
+                          for x in from_ints(coords, den))
+        versors.append(Multivector((z, q1, q2, q3, z, z, z, q0)) if odd
+                       else Quaternion(q0, q1, q2, q3).to_spinor())
+    rank = {x: i for i, x in enumerate(sorted(values))}
+    return tuple(sorted(versors,
+                        key=lambda m: tuple(rank[x] for x in m.components)))
 
 
 @dataclass(frozen=True)

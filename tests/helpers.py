@@ -81,6 +81,34 @@ def rand_vector_mv(rng, bound: int = 6) -> Multivector:
     return Multivector(comps)
 
 
+def rand_sparse_scalar(rng, bound: int = 9) -> FieldScalar:
+    """A random field element with each coordinate zero half the time."""
+    return FieldScalar(*(rand_fraction(rng, bound) if rng.random() < 0.5
+                         else 0 for _ in range(4)))
+
+
+def quaternion_coords(q) -> tuple[Fraction, ...]:
+    """The 16 rational coordinates of a quaternion: for each component in
+    turn, its parts on 1, sqrt2, sqrt5 and sqrt10."""
+    return tuple(f for c in q.components for f in (c.a, c.b, c.c, c.d))
+
+
+def plain_closure(seed, cap: int = 2000) -> tuple[Multivector, ...]:
+    """The closure of ``seed`` under geometric products, sorted by
+    components: each round multiplies the last round's new elements by
+    every seed element, until a round adds nothing."""
+    gens = list(seed)
+    out = set(gens)
+    frontier = gens
+    while frontier:
+        new = {x * g for x in frontier for g in gens} - out
+        out |= new
+        frontier = list(new)
+        if len(out) > cap:
+            raise ValueError(f"plain closure exceeded {cap} elements")
+    return tuple(sorted(out, key=lambda m: m.components))
+
+
 def reflect_oracle(lam, alpha):
     """s_alpha(lam) from the textbook formula, independent of ``coxeter``."""
     zero = FieldScalar(0)

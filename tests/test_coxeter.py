@@ -239,11 +239,20 @@ def test_failed_verification_clears_the_flag():
     axiom1 = (_r(1, 0, 0), _r(1, 1, 0))
     axiom2 = (_r(1, 0, 0), _r(-1, 0, 0), _r(_S, _S, 0), _r(-_S, -_S, 0))
     for roots, axiom in ((axiom1, 1), (axiom2, 2)):
-        rs = RootSystem("x", 3, roots, verified=True)
+        rs = RootSystem("x", 3, roots)
+        rs.verified = True
         assert verify_root_system(rs).axiom == axiom
         assert rs.verified is False
         with pytest.raises(ValueError, match="verify the root system"):
             generate_versor_group(rs)
+
+
+def test_constructor_rejects_the_verified_flag():
+    # only verify_root_system (or an explicit assignment) sets the flag, so
+    # a set that fails axiom 1 cannot reach the versor closure by a claim
+    with pytest.raises(TypeError, match="verified"):
+        RootSystem("x", 3, (_r(1, 0, 0), _r(1, 1, 0)), verified=True)
+    assert RootSystem("x", 3, (_r(1, 0, 0),)).verified is False
 
 
 def test_verify_duplicate_root_is_a_scalar_multiple():
@@ -522,8 +531,9 @@ def test_root_system_json_rejects_mixed_lengths(closures):
 def test_root_system_json_verified_flag_is_not_trusted():
     from spinroots.spingroup import generate_versor_group
     e1, e1x2 = _r(1, 0, 0), _r(2, 0, 0)
-    forged = RootSystem("forged", 3, (e1, e1x2, negate(e1), negate(e1x2)),
-                        verified=True).to_json()
+    forged_rs = RootSystem("forged", 3, (e1, e1x2, negate(e1), negate(e1x2)))
+    forged_rs.verified = True
+    forged = forged_rs.to_json()
     assert forged["verified"] is True
     back = RootSystem.from_json(forged)
     assert not back.verified

@@ -13,7 +13,7 @@ import pytest
 from helpers import rand_nonzero_scalar, rand_scalar
 from spinroots import cli, coxeter, quaternion, spingroup
 from spinroots.exactfield import (ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU, ZERO,
-                                  FieldScalar)
+                                  FieldScalar, from_ints, to_ints)
 
 
 def test_tau_sigma_encodings():
@@ -189,6 +189,25 @@ def test_hash_consistency():
                      FieldScalar(x.a, x.b, x.c, x.d)):
             assert same == x
             assert hash(same) == hash(x)
+
+
+def test_integer_coordinates_round_trip():
+    # to_ints puts a sequence over its least common denominator, which
+    # leaves it reduced, with the coordinates of each element on 1, sqrt2,
+    # sqrt5, sqrt10 in turn; from_ints inverts it
+    rng = random.Random(37)
+    for n in (1, 4, 5):
+        for _ in range(60):
+            xs = tuple(rand_scalar(rng) for _ in range(n))
+            ints, den = to_ints(xs)
+            assert len(ints) == 4 * n and den > 0
+            assert math.gcd(*ints, den) == 1
+            assert from_ints(ints, den) == xs
+            assert tuple(Fraction(k, den) for k in ints) == \
+                tuple(f for x in xs for f in (x.a, x.b, x.c, x.d))
+    assert to_ints((ZERO,)) == ((0, 0, 0, 0), 1)
+    assert to_ints((ONE / 2, SQRT10)) == ((1, 0, 0, 0, 0, 0, 0, 2), 2)
+    assert from_ints((3, 0, 6, 0), 6) == (FieldScalar(Fraction(1, 2), 0, 1),)
 
 
 def test_str_rendering():

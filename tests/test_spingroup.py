@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,13 +10,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (induced_matrix, mat_det3, mat_identity, mat_mul,
-                     matrix_census, rand_nonzero_scalar, rand_vector_mv, turn)
+                     matrix_census, plain_closure, quaternion_coords,
+                     rand_nonzero_scalar, rand_sparse_scalar, rand_vector_mv,
+                     turn)
 from spinroots import clifford, spingroup
 from spinroots.clifford import E1, E2, I, ONE, Multivector, vector
 from spinroots.coxeter import (CapExceeded, RootSystem, SimpleRoots,
                                orbit_closure, simple_roots,
                                verify_root_system)
-from spinroots.exactfield import FieldScalar
+from spinroots.exactfield import FieldScalar, to_ints
 from spinroots.quaternion import Quaternion, catalog
 from spinroots.spingroup import (classify_versors,
                                  check_pure_quaternion_subrootsystem,
@@ -105,7 +108,8 @@ def test_generate_rotors_preconditions(closures):
     rs = RootSystem("a1x3", 3, closures["a1x3"].roots)  # not verified
     with pytest.raises(ValueError, match="verify"):
         generate_versor_group(rs)
-    rank4 = RootSystem("a1x3", 4, closures["a1x3"].roots, verified=True)
+    rank4 = RootSystem("a1x3", 4, closures["a1x3"].roots)
+    rank4.verified = True
     with pytest.raises(ValueError, match="rank-3"):
         generate_versor_group(rank4)
 
@@ -197,13 +201,19 @@ def test_census_h3(versor_groups):
     assert census.central_inversion
 
 
-def _turned_h3_versors():
+def _turned_h3():
+    """H3's simple roots turned by the quaternion (1, -2, 4, 5) of norm 46,
+    and their verified closure: dense versors with large denominators."""
     q = (1, -2, 4, 5)
     turned = SimpleRoots("h3", tuple(turn(q, r)
                                      for r in simple_roots("h3").roots))
     rs = orbit_closure(turned)
     assert verify_root_system(rs).passed
-    return generate_versor_group(rs)
+    return turned, rs
+
+
+def _turned_h3_versors():
+    return generate_versor_group(_turned_h3()[1])
 
 
 def test_census_matches_matrix_oracle(versor_groups):
@@ -333,22 +343,80 @@ def test_quaternion_reflection_equivalence_errors():
 def test_closure_multiplies_each_element_by_each_generator_once(
         closures, monkeypatch):
     # the closure so far is multiplied by a new generator only, so B3 and
-    # H3 (three generators each) take 96 x 3 and 240 x 3 Hamilton products
+    # H3 (three generators each) take 96 x 3 and 240 x 3 closure steps
     # (multiplying the whole closure by every generator each time one is
     # added takes 322 and 762)
     calls = []
-    original = Quaternion.__mul__
+    original = spingroup._step
 
-    def counted(self, other):
+    def counted(gen, elem):
         calls.append(1)
-        return original(self, other)
+        return original(gen, elem)
 
-    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    monkeypatch.setattr(spingroup, "_step", counted)
     counts = {}
     for g in ("b3", "h3"):
         calls.clear()
         counts[g] = (len(generate_versor_group(closures[g])), len(calls))
     assert counts == {"b3": (96, 288), "h3": (240, 720)}
+
+
+def _rand_quaternion(rng, sparse: bool) -> Quaternion:
+    if sparse:
+        return Quaternion(*(rand_sparse_scalar(rng) if rng.random() < 0.6
+                            else 0 for _ in range(4)))
+    return Quaternion(*(rand_nonzero_scalar(rng) for _ in range(4)))
+
+
+def test_generator_matrix_is_left_multiplication():
+    # the integer matrix of q applied to the coordinates of p gives those
+    # of q * p, and a step adds the parity, the negation and the reduction
+    rng = random.Random(149)
+    quats = [_rand_quaternion(rng, sparse) for sparse in (True, False) * 12]
+    quats += [spingroup._pair(v)[1]
+              for v in _turned_h3_versors().elements[::9]]
+    quats.append(Quaternion())
+    for _ in range(120):
+        q, p = rng.choice(quats), rng.choice(quats)
+        b = rng.randint(0, 1)
+        parity, cols, den = spingroup._generator(b, q)
+        assert parity == b and den > 0 and len(cols) == 16
+        image = [Fraction(0)] * 16
+        for x, col in zip(quaternion_coords(p), cols):
+            for row, v in col:
+                image[row] += x * v
+        product = quaternion_coords(q * p)
+        assert tuple(y / den for y in image) == product
+        a = rng.randint(0, 1)
+        odd, coords, h_den = spingroup._step((b, cols, den),
+                                             (a, *to_ints(p.components)))
+        sign = -1 if a & b else 1
+        assert odd == a ^ b
+        assert h_den > 0 and math.gcd(*coords, h_den) == 1
+        assert tuple(Fraction(n, h_den) for n in coords) == \
+            tuple(sign * y for y in product)
+
+
+def _two_generator_seed(simple):
+    v1, v2, v3 = (spingroup._unit(vector(*r)) for r in simple.roots)
+    r1, r2 = v1 * v2, v2 * v3
+    return {r1, r2, r1.reverse(), r2.reverse()}
+
+
+def test_mulclose_equals_plain_closure(closures):
+    # element for element and in order, on the versor seeds and the
+    # two-generator seeds of the presets and of turned H3
+    turned, turned_rs = _turned_h3()
+    cases = [(closures[g], simple_roots(g)) for g in EXPECTED_SPINORS]
+    cases.append((turned_rs, turned))
+    for rs, simple in cases:
+        versor_seed = {spingroup._unit(vector(*r)) for r in rs.roots}
+        for seed in (versor_seed, _two_generator_seed(simple)):
+            assert spingroup._mulclose(seed, cap=1000) == plain_closure(seed)
+    with pytest.raises(CapExceeded):
+        generate_versor_group(turned_rs, cap=50)
+    with pytest.raises(ValueError, match="pure even or pure odd"):
+        spingroup._mulclose({ONE + E1}, cap=10)
 
 
 def test_closure_cap():
