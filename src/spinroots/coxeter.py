@@ -11,7 +11,9 @@ orbit (Humphreys, *Reflection Groups and Coxeter Groups*, 1.5).  So a set
 that is the orbit of a few of its own roots under their reflections meets
 axiom 2, which ``verify_root_system`` checks in O(n |G|) reflections, not
 n^2.  Axiom 1 keys each root by its direction, scaled so its first nonzero
-entry is 1.
+entry is 1.  Both closures run on integer keys (``exactfield.to_ints``):
+s_alpha is the integer matrix of 1 - c alpha^T, c = 2 alpha/(alpha|alpha)
+(``exactfield.linear_map``), applied by the shared ``exactfield.apply``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactfield import SIGMA, TAU, FieldScalar
+from .exactfield import (SIGMA, TAU, FieldScalar, apply, exact_sorted,
+                         from_ints, linear_map, to_ints)
 
 Root = tuple[FieldScalar, ...]
 
@@ -81,7 +84,7 @@ def negate(x: Root) -> Root:
 
 
 def _reflection_scale(alpha: Root) -> Root:
-    """The vector 2 alpha / (alpha|alpha), hoisted out of reflection loops."""
+    """The vector c = 2 alpha / (alpha|alpha) of the reflection s_alpha."""
     aa = dot(alpha, alpha)
     if not aa:
         raise ValueError("cannot reflect in the zero vector")
@@ -89,16 +92,27 @@ def _reflection_scale(alpha: Root) -> Root:
     return tuple((a + a) * inv for a in alpha)
 
 
-def _reflect_scaled(lam: Root, alpha: Root, scaled: Root) -> Root:
-    t = dot(lam, alpha)
-    if not t:
-        return lam
-    return tuple(l - t * w for l, w in zip(lam, scaled))
-
-
 def reflect_root(lam: Root, alpha: Root) -> Root:
     """s_alpha(lam) = lam - 2 (lam|alpha)/(alpha|alpha) alpha."""
-    return _reflect_scaled(lam, alpha, _reflection_scale(alpha))
+    t = dot(lam, alpha)
+    return tuple(l - t * w for l, w in zip(lam, _reflection_scale(alpha)))
+
+
+def _reflection(alpha: Root):
+    """s_alpha as an integer matrix (``exactfield.linear_map``): block
+    (r, i) is delta_ri - c_r alpha_i, with c = 2 alpha/(alpha|alpha)."""
+    minus_c = [-x for x in _reflection_scale(alpha)]
+    return linear_map([[(_ONE if r == i else _ZERO) + cr * a
+                        for i, a in enumerate(alpha)]
+                       for r, cr in enumerate(minus_c)])
+
+
+def _rank(roots) -> int:
+    """The common length of ``roots``; ValueError if they have several."""
+    lengths = {len(r) for r in roots}
+    if len(lengths) != 1:
+        raise ValueError(f"roots must share one length, got {sorted(lengths)}")
+    return lengths.pop()
 
 
 # -- root systems -----------------------------------------------------------
@@ -130,11 +144,7 @@ class RootSystem:
         rank that disagrees, or roots of mixed lengths, raise ValueError."""
         roots = tuple(tuple(FieldScalar.from_json(c) for c in r)
                       for r in data["roots"])
-        lengths = {len(r) for r in roots}
-        if len(lengths) != 1:
-            raise ValueError(f"roots must share one length, got "
-                             f"{sorted(lengths)}")
-        rank = lengths.pop()
+        rank = _rank(roots)
         if data["rank"] != rank:
             raise ValueError(f"stated rank {data['rank']!r} disagrees with "
                              f"roots of length {rank}")
@@ -153,22 +163,23 @@ def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
     """
     if not simple.roots:
         raise ValueError("need at least one simple root")
-    rank = len(simple.roots[0])
-    gens = [(alpha, _reflection_scale(alpha)) for alpha in simple.roots]
-    roots: set[Root] = set(simple.roots) | {negate(r) for r in simple.roots}
+    rank = _rank(simple.roots)
+    gens = [_reflection(alpha) for alpha in simple.roots]
+    roots = {to_ints(alpha) for alpha in simple.roots}  # s_a a = -a
     frontier = roots
     while frontier:
-        new: set[Root] = set()
-        for lam in frontier:
-            for alpha, scaled in gens:
-                image = _reflect_scaled(lam, alpha, scaled)
+        new = set()
+        for ints, den in frontier:
+            for cols, mden in gens:
+                image = apply(cols, mden, ints, den)
                 if image not in roots:
                     new.add(image)
         roots |= new
         if len(roots) > cap:
             raise CapExceeded(f"orbit closure exceeded cap of {cap} elements")
         frontier = new
-    return RootSystem(simple.group, rank, tuple(sorted(roots)))
+    return RootSystem(simple.group, rank,
+                      tuple(exact_sorted([from_ints(*k) for k in roots])))
 
 
 @dataclass(frozen=True)
@@ -201,18 +212,21 @@ def verify_root_system(rs: RootSystem) -> Certificate:
     closed under the old generators, so it is reflected in the new one
     only, and each new root in all of them: each root meets each generator
     once.  Every image must lie in the set, or the generator and the
-    reflected root (both members) are the witness.  If none escapes, the set is W_G G for the group W_G
-    that the generators' reflections generate, so each member is
-    beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
-    into itself: axiom 2 holds exactly, with O(n |G|) reflections.
+    reflected root (both members) are the witness.  If none escapes, the
+    set is W_G G for the group W_G that the generators' reflections
+    generate, so each member is beta = w(g) and s_beta = w s_g w^-1 lies
+    in W_G, which maps the set into itself: axiom 2 holds exactly, with
+    O(n |G|) reflections.  Roots of several lengths raise ValueError.
     """
     rs.verified = False
     roots = rs.roots
-    root_set = set(roots)
-    for alpha in roots:
-        if not any(alpha):
+    if roots:
+        _rank(roots)
+    root_of = {to_ints(beta): beta for beta in roots}
+    for (ints, den), alpha in root_of.items():
+        if not any(ints):
             return Certificate(False, 1, (alpha,), "zero vector present")
-        if negate(alpha) not in root_set:
+        if (tuple([-n for n in ints]), den) not in root_of:
             return Certificate(False, 1, (alpha,),
                                "negative of root missing")
     buckets: dict[Root, list[Root]] = {}
@@ -223,20 +237,20 @@ def verify_root_system(rs: RootSystem) -> Certificate:
                 return Certificate(False, 1, (alpha, beta),
                                    "scalar multiple beyond +-root present")
         bucket.append(beta)
-    orbit: set[Root] = set()
-    gens: list[tuple[Root, Root]] = []
-    for beta in roots:
-        if beta in orbit:
+    orbit: set = set()
+    gens: list = []
+    for key, beta in root_of.items():
+        if key in orbit:
             continue
-        gens.append((beta, _reflection_scale(beta)))
-        work = [(lam, gens[-1:]) for lam in orbit] + [(beta, gens)]
-        orbit.add(beta)
+        gens.append((beta, *_reflection(beta)))
+        work = [(lam, gens[-1:]) for lam in orbit] + [(key, gens)]
+        orbit.add(key)
         while work:
-            lam, using = work.pop()
-            for alpha, scaled in using:
-                image = _reflect_scaled(lam, alpha, scaled)
-                if image not in root_set:
-                    return Certificate(False, 2, (alpha, lam),
+            (ints, den), using = work.pop()
+            for alpha, cols, mden in using:
+                image = apply(cols, mden, ints, den)
+                if image not in root_of:
+                    return Certificate(False, 2, (alpha, root_of[ints, den]),
                                        "reflection image escapes the set")
                 if image not in orbit:
                     orbit.add(image)
@@ -297,10 +311,12 @@ def cartan_matrix(simple: SimpleRoots) -> CartanMatrix:
     its order is ``rotation_order`` of c2 = (a_i|a_j)^2 / (|a_i|^2 |a_j|^2),
     read off the angle for any generator set, strict simple system or not.
     Every c2 of the field is either in that table or a rotation of infinite
-    order, which raises ValueError.
+    order, which raises ValueError, as does a zero root.
     """
     roots = simple.roots
     norms = [dot(a, a) for a in roots]
+    if not all(norms):
+        raise ValueError("cannot reflect in the zero vector")
     entries = tuple(
         tuple((dot(a, b) + dot(a, b)) * na.inverse() for b in roots)
         for a, na in zip(roots, norms))

@@ -3,8 +3,8 @@
 Every scalar that appears in the rank-3/rank-4 constructions (rationals,
 1/sqrt2, the golden ratio tau = (1+sqrt5)/2 and its conjugate
 sigma = (1-sqrt5)/2) lives in this field, so all downstream computations
-are exact.  No floating point is used anywhere except for the optional
-``approx`` display helper.
+are exact.  Floating point decides nothing: ``approx`` serves display and
+the float-ordered first pass of ``exact_sorted``.
 
 An element is stored as four integer coordinates over one shared positive
 denominator, (a + b*sqrt2 + c*sqrt5 + d*sqrt10) / den, reduced by a single
@@ -14,7 +14,10 @@ denominator, Cohen, *A Course in Computational Algebraic Number Theory*,
 those of the tuple.  The sign is decided exactly by integer comparisons,
 and square roots are taken down the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2)
 in field arithmetic.  ``Fraction`` appears only at the edges: the
-constructor, the ``a``-``d`` components, JSON and display.
+constructor, the ``a``-``d`` components, JSON and display.  A
+field-linear map is a sparse integer matrix on these coordinates
+(``linear_map``), and ``apply`` is the kernel of every closure, of
+reflections and of versor products.
 """
 
 from __future__ import annotations
@@ -381,6 +384,52 @@ def from_ints(ints, den: int) -> tuple[FieldScalar, ...]:
     """The FieldScalars whose coordinates over ``den > 0`` are ``ints``,
     four to a scalar; the inverse of ``to_ints``."""
     return tuple(_make(*ints[i:i + 4], den) for i in range(0, len(ints), 4))
+
+
+def linear_map(grid):
+    """x -> A x for an n x n grid A of FieldScalars, as a sparse integer
+    matrix on the 4 n coordinates of x (``to_ints``) over one denominator:
+    column 4 i + j lists the (row, entry) pairs of the image of coordinate
+    j of x_i.  Indexed by bits, basis elements m and j of 1, sqrt2, sqrt5,
+    sqrt10 multiply to element m ^ j times the square of element m & j."""
+    den = lcm(*[x._v[4] for row in grid for x in row])
+    cols = [[] for _ in range(4 * len(grid))]
+    for r, row in enumerate(grid):
+        for i, x in enumerate(row):
+            *parts, n = x._v
+            for m, p in enumerate(parts):
+                if p:
+                    p *= den // n
+                    for j in range(4):
+                        cols[4 * i + j].append(
+                            (4 * r + (m ^ j), p * (1, 2, 5, 10)[m & j]))
+    return tuple(map(tuple, cols)), den
+
+
+def apply(cols, mden: int, ints, den: int) -> tuple[tuple[int, ...], int]:
+    """``ints`` over ``den`` mapped by ``cols`` over ``mden`` (``linear_map``)
+    in one sparse product and one gcd, reduced over a positive denominator
+    as by ``to_ints``; a negative ``mden`` negates the image."""
+    out = [0] * len(cols)
+    for x, col in zip(ints, cols):
+        if x:
+            for row, v in col:
+                out[row] += x * v
+    den *= mden
+    g = gcd(*out, den)
+    if den < 0:
+        g = -g
+    return tuple([n // g for n in out]), den // g
+
+
+def exact_sorted(rows: list) -> list:
+    """``sorted(rows)`` for a list of tuples of FieldScalars: the distinct
+    values are sorted once, in float order first so that the exact sort
+    mostly confirms it, and the rows by the ranks of their entries."""
+    values = sorted({x for row in rows for x in row}, key=FieldScalar.approx)
+    values.sort()
+    rank = {x: i for i, x in enumerate(values)}
+    return sorted(rows, key=lambda row: tuple([rank[x] for x in row]))
 
 
 ZERO = FieldScalar(0)

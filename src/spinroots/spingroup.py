@@ -9,9 +9,10 @@ In Cl(3) the pseudoscalar I is central with I^2 = -1, so every odd versor
 is v = I R with R = -I v even, and a versor is a parity bit plus one
 quaternion.  The closure runs on these pairs, the quaternion held as 16
 integer coordinates (4 components on the basis 1, sqrt2, sqrt5, sqrt10)
-over one denominator.  Left multiplication by a generator is a sparse
-integer matrix, so a step is one sparse product and one gcd; the result
-is sorted once, by the ranks of its distinct component values.  A unit
+over one denominator.  Left multiplication by a generator is the sparse
+integer matrix of its Hamilton grid (``exactfield.linear_map``), so a
+step is one sparse product and one gcd, the kernel that reflections
+share (``exactfield.apply``); the result is sorted once.  A unit
 versor's transformation is fixed by the rotation of R, whose order
 follows from its scalar part cos theta (``coxeter.rotation_order``), so
 the census needs no matrices.
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .clifford import I, Multivector, reflect, scalar, vector
 from .coxeter import (CapExceeded, RootSystem, SimpleRoots, orbit_closure,
                       rotation_order, verify_root_system)
-from .exactfield import FieldScalar, from_ints, to_ints
+from .exactfield import (FieldScalar, apply, exact_sorted, from_ints,
+                         linear_map, to_ints)
 from .quaternion import Quaternion, catalog
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
@@ -61,35 +62,19 @@ def _pair(v: Multivector) -> tuple[int, Quaternion]:
 
 
 def _generator(parity: int, q: Quaternion):
-    """Left multiplication by q as a sparse integer 16x16 matrix over one
-    denominator, stored by columns: column k holds the nonzero
-    (row, entry) pairs of the coordinates (``to_ints``) of q times the
-    basis quaternion whose coordinate k is 1."""
-    cols = []
-    for k in range(16):
-        unit = [0] * 16
-        unit[k] = 1
-        cols.append(to_ints((q * Quaternion(*from_ints(unit, 1))).components))
-    den = lcm(*(d for _, d in cols))
-    return parity, tuple(tuple((row, n * (den // d))
-                               for row, n in enumerate(col) if n)
-                         for col, d in cols), den
+    """(parity, cols, den): left multiplication by q, the integer matrix
+    (``exactfield.linear_map``) of its Hamilton grid: row k gives (q p)_k."""
+    a0, a1, a2, a3 = q.components
+    return parity, *linear_map(((a0, -a1, -a2, -a3), (a1, a0, -a3, a2),
+                                (a2, a3, a0, -a1), (a3, -a2, a1, a0)))
 
 
 def _step(gen, elem):
-    """The product of an element (a, coords, den) and a generator: one
-    sparse matrix product, a negation when both are odd, one gcd."""
+    """The product of an element (a, coords, den) and a generator: its
+    matrix applied to coords, negated when both are odd, parities XORed."""
     b, cols, den_b = gen
     a, coords, den = elem
-    out = [0] * 16
-    for x, col in zip(coords, cols):
-        if x:
-            for row, v in col:
-                out[row] += x * v
-    den *= den_b
-    g = gcd(*out, den)
-    s = -g if a & b else g
-    return a ^ b, tuple([n // s for n in out]), den // g
+    return (a ^ b, *apply(cols, -den_b if a & b else den_b, coords, den))
 
 
 def _mulclose(seed, cap: int):
@@ -98,26 +83,17 @@ def _mulclose(seed, cap: int):
 
     Each element is held as (parity, coords, den): an even R as parity 0
     and the quaternion from_spinor(R), an odd v = I R as parity 1 and the
-    quaternion of R = -I v, each as its 16 integer coordinates over one
-    positive denominator, reduced (``exactfield.to_ints``; a step reduces
-    with one gcd), which is FieldScalar's own normal form widened to a
-    quaternion, so tuple equality is exact.
-    Since I is central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and
-    from_spinor reverses products, so a step multiplies q_A on the left
-    by q_B, XORs the parities and negates when both are odd (I^2 = -1).
-    Left multiplication by q_B is Q-linear, so each generator becomes an
-    integer matrix, built once from ``Quaternion.__mul__`` by
-    ``_generator``, and ``_step`` applies it.
+    quaternion of R = -I v, as its reduced integer coordinates
+    (``exactfield.to_ints``), so tuple equality is exact.  Since I is
+    central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and from_spinor
+    reverses products, so a step multiplies q_A on the left by q_B (the
+    matrix of ``_generator``), XORs the parities and negates when both
+    are odd (I^2 = -1).
 
     Generators are accreted one by one; a seed element already inside the
     running closure is skipped.  The old closure is closed under the old
     generators, so it is multiplied by the new generator only, and each
     new element by all of them: each element meets each generator once.
-
-    The Multivectors are built once from the coordinates
-    (``exactfield.from_ints``), and sorted by the ranks of their
-    components among the distinct values, which are sorted once in exact
-    order: the same order as sorting by components.
     """
     elements: set[tuple[int, tuple[int, ...], int]] = set()
     gens: list = []
@@ -141,17 +117,15 @@ def _mulclose(seed, cap: int):
                             f"closure exceeded cap of {cap} elements")
     z = _ZERO
     values = {z: z}
-    versors = []
+    rows = []  # Multivector components, even ones as in to_spinor
     for odd, coords, den in elements:
         if odd:
             coords = coords[:4] + tuple(-n for n in coords[4:])
         q0, q1, q2, q3 = (values.setdefault(x, x)
                           for x in from_ints(coords, den))
-        versors.append(Multivector((z, q1, q2, q3, z, z, z, q0)) if odd
-                       else Quaternion(q0, q1, q2, q3).to_spinor())
-    rank = {x: i for i, x in enumerate(sorted(values))}
-    return tuple(sorted(versors,
-                        key=lambda m: tuple(rank[x] for x in m.components)))
+        rows.append((z, q1, q2, q3, z, z, z, q0) if odd
+                    else (q0, z, z, z, q3, q1, q2, z))
+    return tuple(Multivector(row) for row in exact_sorted(rows))
 
 
 @dataclass(frozen=True)
@@ -314,7 +288,7 @@ def check_pure_quaternion_subrootsystem(
 
 def induce_rank4(ss: SpinorSet) -> RootSystem:
     """Package the quaternion images as a verified rank-4 root system."""
-    roots = tuple(sorted(q.components for q in ss.quaternions()))
+    roots = tuple(exact_sorted([q.components for q in ss.quaternions()]))
     rs4 = RootSystem(RANK4_LABEL.get(ss.group, f"{ss.group}-rank4"), 4, roots)
     cert = verify_root_system(rs4)
     if not cert.passed:

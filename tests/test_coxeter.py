@@ -11,14 +11,16 @@ import pytest
 
 from helpers import (brute_force_axiom2, brute_force_orbit,
                      decompose_in_simple, induced_matrix, is_rational,
-                     mat_det3, mat_identity, mat_mul, mat_order, rand_scalar,
+                     mat_det3, mat_identity, mat_mul, mat_order,
+                     rand_nonzero_scalar, rand_scalar, rand_sparse_scalar,
                      reflect_oracle, reflection_matrix, turn)
 from spinroots import clifford, coxeter
 from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
                                SimpleRoots, cartan_matrix, dot, negate,
                                orbit_closure, reflect_root, rotation_order,
                                simple_roots, verify_root_system)
-from spinroots.exactfield import SIGMA, SQRT2, TAU, FieldScalar
+from spinroots.exactfield import (SIGMA, SQRT2, TAU, FieldScalar, apply,
+                                  from_ints, to_ints)
 from spinroots.spingroup import generate_versor_group
 
 _S = FieldScalar(0, Fraction(1, 2))       # 1/sqrt2
@@ -60,6 +62,39 @@ def test_reflect_root_basics():
     assert reflect_root(alpha, alpha) == negate(alpha)
     with pytest.raises(ValueError):
         reflect_root(alpha, _r(0, 0, 0))
+
+
+def _coords(v) -> tuple[Fraction, ...]:
+    return tuple(f for x in v for f in (x.a, x.b, x.c, x.d))
+
+
+def test_reflection_matrix_is_reflect_root(closures):
+    # the integer matrix of s_alpha applied to the Fraction coordinates of
+    # lam gives those of reflect_root(lam, alpha), and ``apply`` gives its
+    # integer key, over a reduced positive denominator
+    rng = random.Random(83)
+    pools = {n: [tuple(rand_sparse_scalar(rng) if sparse
+                       else rand_nonzero_scalar(rng) for _ in range(n))
+                 for sparse in (True, False) * 8]
+             for n in (3, 4)}
+    pools[3] += [turn((1, -2, 4, 5), r) for r in closures["h3"].roots[::3]]
+    for trial in range(200):
+        pool = pools[3 + trial % 2]
+        lam, alpha = rng.choice(pool), rng.choice(pool)
+        if not any(alpha):
+            continue
+        want = reflect_root(lam, alpha)
+        cols, den = coxeter._reflection(alpha)
+        assert len(cols) == 4 * len(alpha) and den > 0
+        image = [Fraction(0)] * len(cols)
+        for x, col in zip(_coords(lam), cols):
+            for row, v in col:
+                image[row] += x * v
+        assert tuple(y / den for y in image) == _coords(want)
+        ints, d = apply(cols, den, *to_ints(lam))
+        assert d > 0 and math.gcd(*ints, d) == 1
+        assert (ints, d) == to_ints(want)
+        assert from_ints(ints, d) == want
 
 
 def test_reflect_root_worked_example_b3():
@@ -187,6 +222,20 @@ def test_orbit_closure_cap_is_typed():
     with pytest.raises(CapExceeded,
                        match="orbit closure exceeded cap of 50 elements"):
         orbit_closure(bad, cap=50)
+
+
+def test_roots_of_mixed_length_are_rejected():
+    mixed = (_r(1, 0, 0), _r(-1, 0, 0), _r(0, 1, 0, 0), _r(0, -1, 0, 0))
+    with pytest.raises(ValueError, match="roots must share one length"):
+        verify_root_system(RootSystem("mixed", 3, mixed))
+    with pytest.raises(ValueError, match="roots must share one length"):
+        orbit_closure(SimpleRoots("mixed", (mixed[0], mixed[2])))
+
+
+def test_cartan_matrix_rejects_a_zero_root():
+    zero = SimpleRoots("zero", (_r(1, 0, 0), _r(0, 0, 0)))
+    with pytest.raises(ValueError, match="zero vector"):
+        cartan_matrix(zero)
 
 
 def test_cartan_matrix_rejects_infinite_order():
@@ -341,22 +390,32 @@ def test_verify_reflects_the_old_orbit_in_the_new_generator_only(
     # the old orbit is reflected in each new generator and each new root in
     # every generator, so each root meets each generator once: 48 x 5 on
     # F4 and 120 x 4 on H4 (reflecting the whole orbit in every generator
-    # each time one is added takes 440 and 592)
-    calls = []
-    original = coxeter._reflect_scaled
+    # each time one is added takes 440 and 592).  The orbit closure of
+    # those generators gives the same roots in the same count.
+    calls, gens = [], []
+    original, reflection = coxeter.apply, coxeter._reflection
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(coxeter, "_reflect_scaled", counted)
+    def recorded(alpha):
+        gens.append(alpha)
+        return reflection(alpha)
+
+    monkeypatch.setattr(coxeter, "apply", counted)
+    monkeypatch.setattr(coxeter, "_reflection", recorded)
     counts = {}
     for g in ("b3", "h3"):
         calls.clear()
+        gens.clear()
         rank4 = pipelines[g].rank4
         assert verify_root_system(RootSystem(g, 4, rank4.roots)).passed
-        counts[g] = len(calls)
-    assert counts == {"b3": 240, "h3": 480}
+        simple, verify_calls = SimpleRoots(g, tuple(gens)), len(calls)
+        calls.clear()
+        assert orbit_closure(simple).roots == rank4.roots
+        counts[g] = (len(simple.roots), verify_calls, len(calls))
+    assert counts == {"b3": (5, 240, 240), "h3": (4, 480, 480)}
 
 
 def test_rotation_order_agrees_with_matrix_powering(closures):

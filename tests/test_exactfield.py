@@ -13,7 +13,8 @@ import pytest
 from helpers import rand_nonzero_scalar, rand_scalar
 from spinroots import cli, coxeter, quaternion, spingroup
 from spinroots.exactfield import (ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU, ZERO,
-                                  FieldScalar, from_ints, to_ints)
+                                  FieldScalar, apply, exact_sorted, from_ints,
+                                  linear_map, to_ints)
 
 
 def test_tau_sigma_encodings():
@@ -208,6 +209,45 @@ def test_integer_coordinates_round_trip():
     assert to_ints((ZERO,)) == ((0, 0, 0, 0), 1)
     assert to_ints((ONE / 2, SQRT10)) == ((1, 0, 0, 0, 0, 0, 0, 2), 2)
     assert from_ints((3, 0, 6, 0), 6) == (FieldScalar(Fraction(1, 2), 0, 1),)
+
+
+def test_linear_map_is_the_field_product():
+    # the integer matrix of a grid A applied to the coordinates of x gives
+    # those of A x, over a reduced positive denominator; a negative matrix
+    # denominator negates the image
+    rng = random.Random(41)
+    for n in (1, 3, 4):
+        for trial in range(30):
+            grid = [[rand_scalar(rng) if rng.random() < 0.6 else ZERO
+                     for _ in range(n)] for _ in range(n)]
+            x = tuple(rand_scalar(rng) for _ in range(n))
+            want = tuple(sum((a * y for a, y in zip(row, x)), ZERO)
+                         for row in grid)
+            cols, den = linear_map(grid)
+            assert len(cols) == 4 * n and den > 0
+            ints, d = apply(cols, den, *to_ints(x))
+            assert d > 0 and math.gcd(*ints, d) == 1
+            assert from_ints(ints, d) == want
+            assert apply(cols, -den, *to_ints(x)) == \
+                to_ints(tuple(-y for y in want))
+
+
+def test_exact_sorted_equals_sorted():
+    # rows with repeated values, negatives, and values near zero whose
+    # float order is wrong, which the exact sort of the values corrects
+    rng = random.Random(53)
+    pool = [rand_scalar(rng, 4) for _ in range(10)] + [ZERO, ONE, TAU, SIGMA]
+    for k in (20, 21, 30, 31):
+        p, q = _pell(k)
+        pool += [FieldScalar(p, -q), FieldScalar(2 * p, -2 * q)]
+    pool += [-x for x in pool]
+    assert sorted(pool, key=FieldScalar.approx) != sorted(pool)
+    for length in (1, 3, 4, 8):
+        for _ in range(20):
+            rows = [tuple(rng.choice(pool) for _ in range(length))
+                    for _ in range(rng.randint(0, 30))]
+            rows += rng.choices(rows, k=len(rows) // 3)
+            assert exact_sorted(rows) == sorted(rows)
 
 
 def test_str_rendering():
