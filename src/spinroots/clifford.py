@@ -115,11 +115,12 @@ class Multivector:
         return {GRADE_OF[i] for i, x in enumerate(self.components) if x}
 
     def is_even(self) -> bool:
-        return all(g % 2 == 0 for g in self.grades())
+        c = self.components  # no blade of odd grade
+        return not (c[1] or c[2] or c[3] or c[7])
 
     def is_odd(self) -> bool:
-        gs = self.grades()
-        return bool(gs) and all(g % 2 == 1 for g in gs)
+        c = self.components  # no blade of even grade, and nonzero
+        return not (c[0] or c[4] or c[5] or c[6]) and not self.is_even()
 
     def is_vector(self) -> bool:
         return self.grades() <= {1}

@@ -11,8 +11,10 @@ orbit (Humphreys, *Reflection Groups and Coxeter Groups*, 1.5).  So a set
 that is the orbit of a few of its own roots under their reflections meets
 axiom 2, which ``verify_root_system`` checks in O(n |G|) reflections, not
 n^2.  Axiom 1 keys each root by its direction, scaled so its first nonzero
-entry is 1.  Both closures run on integer keys (``exactfield.to_ints``):
-s_alpha is the integer matrix of 1 - c alpha^T, c = 2 alpha/(alpha|alpha)
+entry is 1.  ``accrete`` is the one closure, of the orbit, of axiom 2
+and of ``spingroup``'s versors: a seed closed under generators taken from
+it.  Roots are closed on integer keys (``exactfield.to_ints``): s_alpha
+is the integer matrix of 1 - c alpha^T, c = 2 alpha/(alpha|alpha)
 (``exactfield.linear_map``), applied by the shared ``exactfield.apply``.
 """
 
@@ -36,6 +38,38 @@ _HALF = Fraction(1, 2)
 
 class CapExceeded(ValueError):
     """A closure ran past its cap, as on malformed input."""
+
+
+def accrete(seeds, generator, step, cap: int, what: str = "closure") -> set:
+    """The smallest set of keys holding the seeds' keys and closed under
+    ``step(g, key)`` for the generators g of the seeds it holds.
+
+    ``seeds`` are (key, x) pairs, taken in order.  A seed already inside
+    the closure is skipped and its generator never built; any other seed
+    adds its key and the generator ``generator(x)``.  The old closure is
+    closed under the old generators, so it meets the new generator only,
+    and each new key meets all of them: each key meets each generator
+    once.  More than ``cap`` keys, seeds or images, raise CapExceeded.
+    """
+    closure: set = set()
+    gens: list = []
+    for key, x in seeds:
+        if key in closure:
+            continue
+        gens.append(generator(x))
+        work = [(k, gens[-1:]) for k in closure] + [(key, gens)]
+        closure.add(key)
+        while work:
+            # each addition pushes work, so this sees every one
+            if len(closure) > cap:
+                raise CapExceeded(f"{what} exceeded cap of {cap} elements")
+            k, using = work.pop()
+            for g in using:
+                image = step(g, k)
+                if image not in closure:
+                    closure.add(image)
+                    work.append((image, gens))
+    return closure
 
 
 def _root(*vals) -> Root:
@@ -154,30 +188,16 @@ class RootSystem:
 
 
 def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
-    """Orbit of the simple roots (and negatives) under their reflections.
-
-    Each round reflects the new roots in the generators only; the module
-    docstring says why the result is closed under reflection in every
-    member.  The result is stored sorted.  ``cap`` guards against
-    non-terminating closures of malformed input.
+    """Orbit of the simple roots (and negatives, s_a a = -a) under their
+    reflections, by ``accrete``; the module docstring says why it is
+    closed under reflection in every member.  The result is stored sorted.
+    ``cap`` guards against non-terminating closures of malformed input.
     """
     if not simple.roots:
         raise ValueError("need at least one simple root")
     rank = _rank(simple.roots)
-    gens = [_reflection(alpha) for alpha in simple.roots]
-    roots = {to_ints(alpha) for alpha in simple.roots}  # s_a a = -a
-    frontier = roots
-    while frontier:
-        new = set()
-        for ints, den in frontier:
-            for cols, mden in gens:
-                image = apply(cols, mden, ints, den)
-                if image not in roots:
-                    new.add(image)
-        roots |= new
-        if len(roots) > cap:
-            raise CapExceeded(f"orbit closure exceeded cap of {cap} elements")
-        frontier = new
+    roots = accrete(((to_ints(alpha), alpha) for alpha in simple.roots),
+                    _reflection, apply, cap, "orbit closure")
     return RootSystem(simple.group, rank,
                       tuple(exact_sorted([from_ints(*k) for k in roots])))
 
@@ -207,16 +227,15 @@ def verify_root_system(rs: RootSystem) -> Certificate:
     holds one root and its negative.  Axiom 2: the set is invariant under
     reflection in each of its members.
 
-    Axiom 2 is checked by generators.  Walking the roots in order, a root
-    not yet in the orbit becomes a generator.  The old orbit is already
-    closed under the old generators, so it is reflected in the new one
-    only, and each new root in all of them: each root meets each generator
-    once.  Every image must lie in the set, or the generator and the
-    reflected root (both members) are the witness.  If none escapes, the
-    set is W_G G for the group W_G that the generators' reflections
-    generate, so each member is beta = w(g) and s_beta = w s_g w^-1 lies
-    in W_G, which maps the set into itself: axiom 2 holds exactly, with
-    O(n |G|) reflections.  Roots of several lengths raise ValueError.
+    Axiom 2 is checked by generators: ``accrete`` closes the roots, in
+    order, under the reflections in those it takes as generators, capped
+    at the set's size.  If no image escapes, the set is W_G G for the
+    group W_G of the generators' reflections, so each member is
+    beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
+    into itself: axiom 2 holds, with O(n |G|) reflections.  An escaped
+    image joins the whole set in the closure, so the cap is crossed
+    exactly when axiom 2 fails; only then are the roots scanned for a
+    witness (alpha, lam).  Roots of several lengths raise ValueError.
     """
     rs.verified = False
     roots = rs.roots
@@ -237,24 +256,16 @@ def verify_root_system(rs: RootSystem) -> Certificate:
                 return Certificate(False, 1, (alpha, beta),
                                    "scalar multiple beyond +-root present")
         bucket.append(beta)
-    orbit: set = set()
-    gens: list = []
-    for key, beta in root_of.items():
-        if key in orbit:
-            continue
-        gens.append((beta, *_reflection(beta)))
-        work = [(lam, gens[-1:]) for lam in orbit] + [(key, gens)]
-        orbit.add(key)
-        while work:
-            (ints, den), using = work.pop()
-            for alpha, cols, mden in using:
-                image = apply(cols, mden, ints, den)
-                if image not in root_of:
-                    return Certificate(False, 2, (alpha, root_of[ints, den]),
+    try:
+        accrete(root_of.items(), _reflection, apply, len(root_of))
+    except CapExceeded:
+        for alpha in roots:
+            s_alpha = _reflection(alpha)
+            for key, lam in root_of.items():
+                if apply(s_alpha, key) not in root_of:
+                    return Certificate(False, 2, (alpha, lam),
                                        "reflection image escapes the set")
-                if image not in orbit:
-                    orbit.add(image)
-                    work.append((image, gens))
+        raise  # unreachable: a crossed cap means an image escaped
     rs.verified = True
     return Certificate(True)
 

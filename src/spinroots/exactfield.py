@@ -406,10 +406,11 @@ def linear_map(grid):
     return tuple(map(tuple, cols)), den
 
 
-def apply(cols, mden: int, ints, den: int) -> tuple[tuple[int, ...], int]:
-    """``ints`` over ``den`` mapped by ``cols`` over ``mden`` (``linear_map``)
-    in one sparse product and one gcd, reduced over a positive denominator
-    as by ``to_ints``; a negative ``mden`` negates the image."""
+def apply(matrix, key) -> tuple[tuple[int, ...], int]:
+    """The key (ints, den) mapped by the matrix (cols, mden) of
+    ``linear_map`` in one sparse product and one gcd, reduced as by
+    ``to_ints``; a negative ``mden`` negates the image."""
+    (cols, mden), (ints, den) = matrix, key
     out = [0] * len(cols)
     for x, col in zip(ints, cols):
         if x:

@@ -12,7 +12,8 @@ integer coordinates (4 components on the basis 1, sqrt2, sqrt5, sqrt10)
 over one denominator.  Left multiplication by a generator is the sparse
 integer matrix of its Hamilton grid (``exactfield.linear_map``), so a
 step is one sparse product and one gcd, the kernel that reflections
-share (``exactfield.apply``); the result is sorted once.  A unit
+share (``exactfield.apply``), in the closure that the orbit of roots
+shares (``coxeter.accrete``); the result is sorted once.  A unit
 versor's transformation is fixed by the rotation of R, whose order
 follows from its scalar part cos theta (``coxeter.rotation_order``), so
 the census needs no matrices.
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .clifford import I, Multivector, reflect, scalar, vector
-from .coxeter import (CapExceeded, RootSystem, SimpleRoots, orbit_closure,
+from .coxeter import (RootSystem, SimpleRoots, accrete, orbit_closure,
                       rotation_order, verify_root_system)
 from .exactfield import (FieldScalar, apply, exact_sorted, from_ints,
                          linear_map, to_ints)
@@ -40,7 +41,7 @@ _MINUS_ONE = scalar(-1)
 
 
 def _unit(v: Multivector) -> Multivector:
-    m2 = v.mag2()
+    m2 = sum((c * c for c in v.components[1:4] if c), _ZERO)
     if not m2:
         raise ValueError("the zero vector cannot be normalized")
     if m2 == _ONE:
@@ -74,7 +75,7 @@ def _step(gen, elem):
     matrix applied to coords, negated when both are odd, parities XORed."""
     b, cols, den_b = gen
     a, coords, den = elem
-    return (a ^ b, *apply(cols, -den_b if a & b else den_b, coords, den))
+    return (a ^ b, *apply((cols, -den_b if a & b else den_b), (coords, den)))
 
 
 def _mulclose(seed, cap: int):
@@ -88,33 +89,13 @@ def _mulclose(seed, cap: int):
     central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and from_spinor
     reverses products, so a step multiplies q_A on the left by q_B (the
     matrix of ``_generator``), XORs the parities and negates when both
-    are odd (I^2 = -1).
-
-    Generators are accreted one by one; a seed element already inside the
-    running closure is skipped.  The old closure is closed under the old
-    generators, so it is multiplied by the new generator only, and each
-    new element by all of them: each element meets each generator once.
+    are odd (I^2 = -1).  The seed elements, in sorted order, are the
+    seeds of ``coxeter.accrete``.
     """
-    elements: set[tuple[int, tuple[int, ...], int]] = set()
-    gens: list = []
-    for s in sorted(seed, key=lambda m: m.components):
-        parity, q = _pair(s)
-        g = (parity, *to_ints(q.components))
-        if g in elements:
-            continue
-        gens.append(_generator(parity, q))
-        work = [(e, gens[-1:]) for e in elements] + [(g, gens)]
-        elements.add(g)
-        while work:
-            elem, using = work.pop()
-            for gen in using:
-                h = _step(gen, elem)
-                if h not in elements:
-                    elements.add(h)
-                    work.append((h, gens))
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap of {cap} elements")
+    pairs = map(_pair, sorted(seed, key=lambda m: m.components))
+    elements = accrete((((p, *to_ints(q.components)), (p, q))
+                        for p, q in pairs),
+                       lambda pq: _generator(*pq), _step, cap)
     z = _ZERO
     values = {z: z}
     rows = []  # Multivector components, even ones as in to_spinor

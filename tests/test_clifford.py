@@ -63,6 +63,28 @@ def test_grade_projection():
     assert GRADE_OF == (0, 1, 1, 1, 2, 2, 2, 3)
 
 
+def test_parity_agrees_with_grades():
+    # random even, odd, mixed and zero elements, each blade set with
+    # probability one half
+    rng = random.Random(31)
+    blades = {"even": (0, 4, 5, 6), "odd": (1, 2, 3, 7),
+              "mixed": tuple(range(8)), "zero": ()}
+    seen = set()
+    for trial in range(400):
+        kind = rng.choice(sorted(blades))
+        m = Multivector([rand_nonzero_scalar(rng)
+                         if i in blades[kind] and rng.random() < 0.5 else 0
+                         for i in range(8)])
+        gs = m.grades()
+        even = all(g % 2 == 0 for g in gs)
+        odd = bool(gs) and all(g % 2 == 1 for g in gs)
+        assert (m.is_even(), m.is_odd()) == (even, odd)
+        seen.add((even, odd))
+    assert seen == {(True, False), (False, True), (False, False)}
+    assert Multivector([0] * 8).is_even()
+    assert not Multivector([0] * 8).is_odd()
+
+
 def test_associativity_randomized():
     rng = random.Random(29)
     for _ in range(1000):

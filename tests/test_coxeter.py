@@ -91,7 +91,7 @@ def test_reflection_matrix_is_reflect_root(closures):
             for row, v in col:
                 image[row] += x * v
         assert tuple(y / den for y in image) == _coords(want)
-        ints, d = apply(cols, den, *to_ints(lam))
+        ints, d = apply((cols, den), to_ints(lam))
         assert d > 0 and math.gcd(*ints, d) == 1
         assert (ints, d) == to_ints(want)
         assert from_ints(ints, d) == want
@@ -224,6 +224,55 @@ def test_orbit_closure_cap_is_typed():
         orbit_closure(bad, cap=50)
 
 
+def _add_mod(n):
+    """(built, generator, step) of the closure under x -> x + g mod n:
+    ``built`` records the seeds that the generator is called on."""
+    built = []
+
+    def generator(g):
+        built.append(g)
+        return g
+    return built, generator, lambda g, k: (k + g) % n
+
+
+def test_accrete_meets_each_key_with_each_generator_once():
+    # seeds in Z/n under addition: the closure is the subgroup of
+    # multiples of gcd(seeds, n), each key stepped once per generator
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        seeds = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+        built, generator, add = _add_mod(n)
+        steps = []
+
+        def step(g, k):
+            steps.append((g, k))
+            return add(g, k)
+        closure = coxeter.accrete(((s, s) for s in seeds), generator, step,
+                                  cap=n)
+        d = math.gcd(*seeds, n)
+        assert closure == set(range(0, n, d))
+        assert len(steps) == len(set(steps)) == len(closure) * len(built)
+
+
+def test_accrete_builds_no_generator_for_a_seed_inside():
+    built, generator, step = _add_mod(12)
+    closure = coxeter.accrete(((s, s) for s in (2, 4, 3, 6)), generator,
+                              step, cap=12)
+    assert closure == set(range(12))
+    assert built == [2, 3]
+
+
+def test_accrete_cap_counts_seed_additions():
+    # identity generators add no image, so only the seeds cross the cap
+    seeds = [(k, k) for k in (1, 2, 3)]
+    assert coxeter.accrete(seeds, lambda x: x, lambda g, k: k, cap=3) == \
+        {1, 2, 3}
+    with pytest.raises(CapExceeded, match="^closure exceeded cap of 2 "
+                                          "elements$"):
+        coxeter.accrete(seeds, lambda x: x, lambda g, k: k, cap=2)
+
+
 def test_roots_of_mixed_length_are_rejected():
     mixed = (_r(1, 0, 0), _r(-1, 0, 0), _r(0, 1, 0, 0), _r(0, -1, 0, 0))
     with pytest.raises(ValueError, match="roots must share one length"):
@@ -324,6 +373,22 @@ def test_verify_axiom2_escape():
     cert = verify_root_system(rs)
     assert not cert.passed
     assert cert.axiom == 2
+    _assert_axiom2_witness(cert, rs.roots)
+
+
+def test_verify_axiom2_escape_before_the_last_seed():
+    # e1 and f generate the eight roots of B2, among them e2 outside the
+    # set, while the set's size is 8: the cap is crossed only once the
+    # seeds after them come in
+    f = _r(_S, _S, 0)
+    e3 = _r(0, 0, 1)
+    k = _r(0, _S, _S)
+    roots = (_r(1, 0, 0), f, _r(-1, 0, 0), negate(f), e3, negate(e3),
+             k, negate(k))
+    assert len(brute_force_orbit(roots[:2])) == len(roots)
+    rs = RootSystem("bad", 3, roots)
+    cert = verify_root_system(rs)
+    assert (cert.passed, cert.axiom, rs.verified) == (False, 2, False)
     _assert_axiom2_witness(cert, rs.roots)
 
 

@@ -225,10 +225,10 @@ def test_linear_map_is_the_field_product():
                          for row in grid)
             cols, den = linear_map(grid)
             assert len(cols) == 4 * n and den > 0
-            ints, d = apply(cols, den, *to_ints(x))
+            ints, d = apply((cols, den), to_ints(x))
             assert d > 0 and math.gcd(*ints, d) == 1
             assert from_ints(ints, d) == want
-            assert apply(cols, -den, *to_ints(x)) == \
+            assert apply((cols, -den), to_ints(x)) == \
                 to_ints(tuple(-y for y in want))
 
 

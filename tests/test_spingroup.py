@@ -340,6 +340,19 @@ def test_quaternion_reflection_equivalence_errors():
         quaternion_reflection_equivalence(ONE, E1)
 
 
+def test_unit_normalizes_vectors():
+    assert spingroup._unit(vector(3, 4, 0)) == \
+        vector(Fraction(3, 5), Fraction(4, 5), 0)
+    assert spingroup._unit(vector(0, 0, -1)) == vector(0, 0, -1)
+    assert spingroup._unit(vector(1, 1, 0)) == \
+        vector(*[FieldScalar(0, Fraction(1, 2))] * 2, 0)
+    with pytest.raises(ValueError, match="leaves the field"):
+        spingroup._unit(vector(1, 1, 1))
+    with pytest.raises(ValueError,
+                       match="the zero vector cannot be normalized"):
+        spingroup._unit(vector(0, 0, 0))
+
+
 def test_closure_multiplies_each_element_by_each_generator_once(
         closures, monkeypatch):
     # the closure so far is multiplied by a new generator only, so B3 and
