@@ -316,24 +316,21 @@ class CartanMatrix:
 
 
 def cartan_matrix(simple: SimpleRoots) -> CartanMatrix:
-    """A_ij = 2 (a_i|a_j) / (a_i|a_i), plus the orders of the products s_i s_j.
+    """A_ij = (c_i|a_j) with c_i = 2 a_i/(a_i|a_i), plus the orders of the
+    products s_i s_j.
 
     s_i s_j is the rotation through twice the angle between a_i and a_j, so
-    its order is ``rotation_order`` of c2 = (a_i|a_j)^2 / (|a_i|^2 |a_j|^2),
-    read off the angle for any generator set, strict simple system or not.
-    Every c2 of the field is either in that table or a rotation of infinite
-    order, which raises ValueError, as does a zero root.
+    its order is ``rotation_order`` of c2 = A_ij A_ji / 4
+    = (a_i|a_j)^2 / (|a_i|^2 |a_j|^2), read off the angle for any
+    generator set, strict simple system or not.  Every c2 of the field is
+    either in that table or a rotation of infinite order, which raises
+    ValueError, as does a zero root.
     """
     roots = simple.roots
-    norms = [dot(a, a) for a in roots]
-    if not all(norms):
-        raise ValueError("cannot reflect in the zero vector")
-    entries = tuple(
-        tuple((dot(a, b) + dot(a, b)) * na.inverse() for b in roots)
-        for a, na in zip(roots, norms))
+    a = tuple(tuple(dot(c, b) for b in roots)
+              for c in map(_reflection_scale, roots))
     orders = tuple(
-        tuple(1 if i == j else rotation_order(
-            dot(a, b) * dot(a, b) * (norms[i] * norms[j]).inverse())
-            for j, b in enumerate(roots))
-        for i, a in enumerate(roots))
-    return CartanMatrix(entries, orders)
+        tuple(1 if i == j else rotation_order(a[i][j] * a[j][i] * _QUARTER)
+              for j in range(len(roots)))
+        for i in range(len(roots)))
+    return CartanMatrix(a, orders)

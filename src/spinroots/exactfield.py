@@ -425,12 +425,14 @@ def apply(matrix, key) -> tuple[tuple[int, ...], int]:
 
 def exact_sorted(rows: list) -> list:
     """``sorted(rows)`` for a list of tuples of FieldScalars: the distinct
-    values are sorted once, in float order first so that the exact sort
-    mostly confirms it, and the rows by the ranks of their entries."""
-    values = sorted({x for row in rows for x in row}, key=FieldScalar.approx)
+    values, keyed by their integer tuples, are sorted once, in float order
+    first so that the exact sort mostly confirms it, and the rows by the
+    ranks of their entries."""
+    values = sorted({x._v: x for row in rows for x in row}.values(),
+                    key=FieldScalar.approx)
     values.sort()
-    rank = {x: i for i, x in enumerate(values)}
-    return sorted(rows, key=lambda row: tuple([rank[x] for x in row]))
+    rank = {x._v: i for i, x in enumerate(values)}
+    return sorted(rows, key=lambda row: tuple([rank[x._v] for x in row]))
 
 
 ZERO = FieldScalar(0)

@@ -1,13 +1,16 @@
 """Quaternions over FieldScalar and the discrete unit-quaternion groups.
 
-The Hamilton product follows e_i e_j = -delta_ij + eps_ijk e_k.  The
-``catalog`` function returns the literal Lipschitz, Hurwitz, dual-Hurwitz
-and icosian sets; ``from_spinor`` carries even multivectors to quadruples
-componentwise, matching the (a; b, c, d) notation for the even subalgebra.
-Note that the componentwise map reverses products,
-from_spinor(A*B) = from_spinor(B) * from_spinor(A); composing it with
-reversal (equivalently, quaternion conjugation) gives the algebra
-isomorphism.
+The Hamilton product follows e_i e_j = -delta_ij + eps_ijk e_k, and
+``catalog`` returns the literal Lipschitz, Hurwitz, dual-Hurwitz and
+icosian sets.  This module owns the versor layout of Cl(3).
+``from_spinor`` carries even multivectors to quadruples componentwise,
+the (a; b, c, d) notation for the even subalgebra; it reverses products,
+from_spinor(A*B) = from_spinor(B) * from_spinor(A), and composed with
+reversal (quaternion conjugation) it is the algebra isomorphism.  As I is
+central with I^2 = -1, an odd versor is v = I R with R = -I v even:
+``versor_pair`` gives (parity, quaternion of R) for either parity, and
+``versor_blades`` the blades back.  The Hodge dual I a of a vector a is
+the parity-0 versor of the pure quaternion (0, a).
 """
 
 from __future__ import annotations
@@ -110,8 +113,7 @@ class Quaternion:
         return cls(c[0], c[5], c[6], c[4])
 
     def to_spinor(self) -> clifford.Multivector:
-        q0, q1, q2, q3 = self.components
-        return clifford.Multivector((q0, ZERO, ZERO, ZERO, q3, q1, q2, ZERO))
+        return clifford.Multivector(versor_blades(0, self.components))
 
     # -- io -------------------------------------------------------------------
 
@@ -127,6 +129,25 @@ class Quaternion:
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
+
+
+def versor_pair(v: clifford.Multivector) -> tuple[int, Quaternion]:
+    """(0, from_spinor(R)) for an even versor R, (1, R) for an odd v = I R."""
+    if v.is_even():
+        return 0, Quaternion.from_spinor(v)
+    if v.is_odd():
+        c = v.components
+        return 1, Quaternion(c[7], -c[1], -c[2], -c[3])
+    raise ValueError("versor must have pure even or pure odd grade")
+
+
+def versor_blades(parity: int, q) -> tuple[FieldScalar, ...]:
+    """The 8 blade components of I^parity R, with q the 4 components of
+    R's quaternion; the inverse of ``versor_pair``."""
+    q0, q1, q2, q3 = q
+    if parity:
+        return (ZERO, -q1, -q2, -q3, ZERO, ZERO, ZERO, q0)
+    return (q0, ZERO, ZERO, ZERO, q3, q1, q2, ZERO)
 
 
 QONE = Quaternion(1)

@@ -3,20 +3,22 @@
 One multiplicative closure of the unit root vectors realizes the full
 reflection group as unit versors.  A spinor is a product of two
 reflections, so the binary polyhedral group of rotors is the even half of
-that closure, and its quaternion images are the rank-4 root systems.
+that closure, and its quaternion images are the rank-4 root systems.  One
+type, ``VersorGroup``, holds both; the rotors are all even.
 
-In Cl(3) the pseudoscalar I is central with I^2 = -1, so every odd versor
-is v = I R with R = -I v even, and a versor is a parity bit plus one
-quaternion.  The closure runs on these pairs, the quaternion held as 16
-integer coordinates (4 components on the basis 1, sqrt2, sqrt5, sqrt10)
-over one denominator.  Left multiplication by a generator is the sparse
-integer matrix of its Hamilton grid (``exactfield.linear_map``), so a
-step is one sparse product and one gcd, the kernel that reflections
-share (``exactfield.apply``), in the closure that the orbit of roots
-shares (``coxeter.accrete``); the result is sorted once.  A unit
-versor's transformation is fixed by the rotation of R, whose order
-follows from its scalar part cos theta (``coxeter.rotation_order``), so
-the census needs no matrices.
+The closure runs on (parity, quaternion) pairs (``quaternion.versor_pair``
+and ``versor_blades`` own that layout), the quaternion held as 16 integer
+coordinates (4 components on the basis 1, sqrt2, sqrt5, sqrt10) over one
+denominator.  Left multiplication by a generator is the sparse integer
+matrix of its Hamilton grid (``exactfield.linear_map``), so a step is one
+sparse product and one gcd, the kernel that reflections share
+(``exactfield.apply``), in the closure that the orbit of roots shares
+(``coxeter.accrete``); the result is sorted once.  A unit versor's
+transformation is fixed by the rotation of R, whose order follows from
+its scalar part cos theta (``coxeter.rotation_order``), so the census
+needs no matrices.  The census reads that part off blades 0 and 7
+directly: a Quaternion per element from ``versor_pair`` cost 1.3 ms more
+per pass over the four presets.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .coxeter import (RootSystem, SimpleRoots, accrete, orbit_closure,
                       rotation_order, verify_root_system)
 from .exactfield import (FieldScalar, apply, exact_sorted, from_ints,
                          linear_map, to_ints)
-from .quaternion import Quaternion, catalog
+from .quaternion import Quaternion, catalog, versor_blades, versor_pair
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
 BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
@@ -52,16 +54,6 @@ def _unit(v: Multivector) -> Multivector:
     return v * s.inverse()
 
 
-def _pair(v: Multivector) -> tuple[int, Quaternion]:
-    """(parity, R) for an even versor R or an odd versor v = I R."""
-    if v.is_even():
-        return 0, Quaternion.from_spinor(v)
-    if v.is_odd():
-        c = v.components
-        return 1, Quaternion(c[7], -c[1], -c[2], -c[3])
-    raise ValueError("versor must have pure even or pure odd grade")
-
-
 def _generator(parity: int, q: Quaternion):
     """(parity, cols, den): left multiplication by q, the integer matrix
     (``exactfield.linear_map``) of its Hamilton grid: row k gives (q p)_k."""
@@ -82,46 +74,26 @@ def _mulclose(seed, cap: int):
     """Smallest set containing ``seed`` and closed under the geometric
     product, as a tuple of Multivectors sorted by components.
 
-    Each element is held as (parity, coords, den): an even R as parity 0
-    and the quaternion from_spinor(R), an odd v = I R as parity 1 and the
-    quaternion of R = -I v, as its reduced integer coordinates
-    (``exactfield.to_ints``), so tuple equality is exact.  Since I is
-    central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and from_spinor
-    reverses products, so a step multiplies q_A on the left by q_B (the
-    matrix of ``_generator``), XORs the parities and negates when both
-    are odd (I^2 = -1).  The seed elements, in sorted order, are the
-    seeds of ``coxeter.accrete``.
+    Each element is held as (parity, coords, den): its
+    ``quaternion.versor_pair``, the quaternion as its reduced integer
+    coordinates (``exactfield.to_ints``), so tuple equality is exact.
+    Since I is central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and
+    from_spinor reverses products, so a step multiplies q_A on the left by
+    q_B (the matrix of ``_generator``), XORs the parities and negates when
+    both are odd (I^2 = -1).  The seed elements, in sorted order, are the
+    seeds of ``coxeter.accrete``; ``versor_blades`` turns the closure back
+    into Multivectors.
     """
-    pairs = map(_pair, sorted(seed, key=lambda m: m.components))
+    pairs = map(versor_pair, sorted(seed, key=lambda m: m.components))
     elements = accrete((((p, *to_ints(q.components)), (p, q))
                         for p, q in pairs),
                        lambda pq: _generator(*pq), _step, cap)
-    z = _ZERO
-    values = {z: z}
-    rows = []  # Multivector components, even ones as in to_spinor
-    for odd, coords, den in elements:
-        if odd:
-            coords = coords[:4] + tuple(-n for n in coords[4:])
-        q0, q1, q2, q3 = (values.setdefault(x, x)
-                          for x in from_ints(coords, den))
-        rows.append((z, q1, q2, q3, z, z, z, q0) if odd
-                    else (q0, z, z, z, q3, q1, q2, z))
+    rows = [versor_blades(odd, from_ints(coords, den))
+            for odd, coords, den in elements]
     return tuple(Multivector(row) for row in exact_sorted(rows))
 
 
-@dataclass(frozen=True)
-class SpinorSet:
-    group: str
-    rotors: tuple[Multivector, ...]
-
-    def __len__(self):
-        return len(self.rotors)
-
-    def quaternions(self) -> tuple[Quaternion, ...]:
-        return tuple(Quaternion.from_spinor(r) for r in self.rotors)
-
-
-def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> SpinorSet:
+def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
     """Closure of the two spinor generators a1 a2 and a2 a3 (with reverses)."""
     if len(simple.roots) != 3:
         raise ValueError("need exactly three simple roots")
@@ -129,11 +101,12 @@ def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> SpinorSet:
     r1 = v1 * v2
     r2 = v2 * v3
     seed = {r1, r2, r1.reverse(), r2.reverse()}
-    return SpinorSet(simple.group, _mulclose(seed, cap))
+    return VersorGroup(simple.group, _mulclose(seed, cap))
 
 
 @dataclass(frozen=True)
 class VersorGroup:
+    """Unit versors sorted by components; the rotors are the even ones."""
     group: str
     elements: tuple[Multivector, ...]
 
@@ -146,9 +119,13 @@ class VersorGroup:
     def odd_elements(self) -> tuple[Multivector, ...]:
         return tuple(e for e in self.elements if e.is_odd())
 
-    def spinors(self) -> SpinorSet:
+    def spinors(self) -> VersorGroup:
         """The rotors: the even half, in the elements' sorted order."""
-        return SpinorSet(self.group, self.even_elements())
+        return VersorGroup(self.group, self.even_elements())
+
+    def quaternions(self) -> tuple[Quaternion, ...]:
+        """The images of the elements; ValueError if one is odd."""
+        return tuple(Quaternion.from_spinor(r) for r in self.elements)
 
 
 def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
@@ -245,29 +222,30 @@ def check_pure_quaternion_subrootsystem(
     """Decide whether the Hodge duals of all roots are even versors of
     ``vg``, the versor group of ``rs``.
 
-    Independently determines whether the central inversion is generated and
-    asserts the biconditional between the two: the central inversion is
-    realized by +-I, the only unit versors acting as -identity.  The witness
-    is that versor when the property holds, or a dual root that escapes the
+    The dual of a unit root a is the even versor of the pure quaternion
+    (0, a), so no geometric product is taken.  Independently determines
+    whether the central inversion is generated and asserts the
+    biconditional between the two: the central inversion is realized by
+    +-I, the only unit versors acting as -identity, and a group holding
+    one holds the other.  The witness is -I, the first of them in sorted
+    order, when the property holds, or a dual root that escapes the
     spinor set when it fails.
     """
-    rotors = set(vg.even_elements())
-    duals = (_unit(vector(*root)).dual() for root in rs.roots)
-    missing = next((d for d in duals if d not in rotors), None)
+    blades = {e.components for e in vg.elements}
+    duals = (versor_blades(0, (_ZERO, *_unit(vector(*root)).components[1:4]))
+             for root in rs.roots)
+    missing = next((d for d in duals if d not in blades), None)
     holds = missing is None
-    plus_minus_i = (I, -I)
-    central_versor = next((e for e in vg.elements if e in plus_minus_i),
-                          None)
-    central = central_versor is not None
+    central = I in vg.elements
     if holds != central:
         raise AssertionError(
             "pure-quaternion property and central inversion disagree "
             f"for {rs.group}: holds={holds}, central={central}")
     return PureQuaternionCheck(holds, central,
-                               central_versor if holds else missing)
+                               -I if holds else Multivector(missing))
 
 
-def induce_rank4(ss: SpinorSet) -> RootSystem:
+def induce_rank4(ss: VersorGroup) -> RootSystem:
     """Package the quaternion images as a verified rank-4 root system."""
     roots = tuple(exact_sorted([q.components for q in ss.quaternions()]))
     rs4 = RootSystem(RANK4_LABEL.get(ss.group, f"{ss.group}-rank4"), 4, roots)
@@ -278,7 +256,7 @@ def induce_rank4(ss: SpinorSet) -> RootSystem:
     return rs4
 
 
-def catalog_match(ss: SpinorSet) -> str | None:
+def catalog_match(ss: VersorGroup) -> str | None:
     """Name of the unit-quaternion catalog the spinor images equal, if any."""
     images = frozenset(ss.quaternions())
     candidates = (
@@ -315,13 +293,13 @@ def quaternion_reflection_equivalence(v: Multivector, a: Multivector) -> bool:
 class PipelineResult:
     group: str
     root_system: RootSystem
-    spinors: SpinorSet
+    spinors: VersorGroup
     catalog_name: str | None
     versors: VersorGroup
     census: VersorCensus
     pure: PureQuaternionCheck
     rank4: RootSystem
-    two_generator: SpinorSet
+    two_generator: VersorGroup
     two_generator_match: bool
 
     @property
@@ -356,7 +334,7 @@ def run_pipeline(simple: SimpleRoots) -> PipelineResult:
         pure=pure,
         rank4=rank4,
         two_generator=two,
-        two_generator_match=set(two.rotors) == set(ss.rotors),
+        two_generator_match=set(two.elements) == set(ss.elements),
     )
 
 

@@ -53,7 +53,7 @@ def test_criterion_1_root_counts(pipelines):
 def test_criterion_2_spinor_counts_and_closure(pipelines):
     with criterion(2, "spinor counts, product and reversal closure"):
         for g, res in pipelines.items():
-            rotors = res.spinors.rotors
+            rotors = res.spinors.elements
             assert len(rotors) == TABLE_SPINORS[g]
             rotor_set = set(rotors)
             for r in rotors:
@@ -94,7 +94,7 @@ def test_criterion_6_two_generator_property(pipelines):
     with criterion(6, "two spinor generators produce the full set"):
         for g, res in pipelines.items():
             two = generate_from_two(simple_roots(g))
-            assert set(two.rotors) == set(res.spinors.rotors)
+            assert set(two.elements) == set(res.spinors.elements)
 
 
 def test_criterion_7_h3_census(pipelines):
@@ -113,7 +113,7 @@ def test_criterion_8_pure_quaternion_property(pipelines):
         for res in pipelines.values():
             assert res.pure.holds == res.pure.central_inversion
         h3 = pipelines["h3"]
-        rotors = set(h3.spinors.rotors)
+        rotors = set(h3.spinors.elements)
         duals = {vector(*r).dual() for r in h3.root_system.roots}
         assert len(duals) == 30
         assert duals <= rotors

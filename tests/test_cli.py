@@ -161,6 +161,37 @@ def test_verify_table_exit_code_on_mismatch(monkeypatch, capsys):
     assert "h3.roots" in out
 
 
+def test_verify_table_prints_a_pipeline_error_row(monkeypatch, capsys):
+    original = spingroup.run_pipeline
+
+    def failing(simple):
+        if simple.group == "b3":
+            raise ValueError("b3 broke")
+        return original(simple)
+
+    monkeypatch.setattr(spingroup, "run_pipeline", failing)
+    code, out = run(capsys, "verify-table")
+    assert code == 1
+    assert "b3     pipeline error: b3 broke" in out.splitlines()
+    assert out.splitlines()[-1] == \
+        "table verification FAILED at: b3.pipeline"
+
+
+def test_spinors_without_a_catalog_match(monkeypatch, capsys):
+    # A3 turned by the quaternion (1, -2, 4, 5): still 24 spinors, but not
+    # the literal Hurwitz units
+    from helpers import turn
+    a3 = coxeter.simple_roots("a3")
+    turned = SimpleRoots("a3", tuple(turn((1, -2, 4, 5), r)
+                                     for r in a3.roots))
+    monkeypatch.setattr(coxeter, "simple_roots", lambda group: turned)
+    code, out = run(capsys, "spinors", "a3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["spinors: 24", "catalog match: none"]
+    assert len(lines) == 26
+
+
 def test_negative_control_names_failing_cells():
     # swapping the b3 presets in under the a1x3 label must fail that row
     presets = {g: coxeter.simple_roots(g) for g in coxeter.GROUPS}

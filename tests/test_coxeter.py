@@ -216,6 +216,11 @@ def test_closure_cap_guards_nontermination():
         orbit_closure(bad, cap=50)
 
 
+def test_orbit_closure_needs_a_simple_root():
+    with pytest.raises(ValueError, match="need at least one simple root"):
+        orbit_closure(SimpleRoots("none", ()))
+
+
 def test_orbit_closure_cap_is_typed():
     bad = SimpleRoots("bad", (_r(1, 0, 0),
                               _r(Fraction(3, 5), Fraction(4, 5), 0)))

@@ -12,7 +12,7 @@ from helpers import rand_multivector, rand_scalar, rand_vector_mv
 from spinroots.clifford import E1, E2, E3, I, ONE, Multivector
 from spinroots.exactfield import FieldScalar
 from spinroots.quaternion import (QI, QJ, QK, QONE, Quaternion, apply_pq,
-                                  catalog)
+                                  catalog, versor_blades, versor_pair)
 
 _EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
         (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
@@ -152,6 +152,30 @@ def test_spinor_map_bijective():
         assert Quaternion.from_spinor(m).to_spinor() == m
     with pytest.raises(ValueError):
         Quaternion.from_spinor(E1)
+
+
+def test_versor_blades_inverts_versor_pair(versor_groups):
+    # every element of the four versor groups, and random even and odd
+    # multivectors (zero among them), come back blade for blade
+    rng = random.Random(107)
+    samples = [v for vg in versor_groups.values() for v in vg.elements]
+    for _ in range(200):
+        even = rand_multivector(rng).grade(0) + rand_multivector(rng).grade(2)
+        odd = rand_multivector(rng).grade(1) + rand_multivector(rng).grade(3)
+        samples += [even, odd]
+    for v in samples:
+        parity, q = versor_pair(v)
+        assert parity == (0 if v.is_even() else 1)
+        assert versor_blades(parity, q.components) == v.components
+    assert versor_pair(I) == (1, QONE)
+    assert versor_pair(-E2) == (1, QJ)
+    assert versor_blades(0, QI.components) == (I * E1).components
+
+
+def test_versor_pair_rejects_mixed_parity():
+    for v in (ONE + E1, E1 + E1 * E2, ONE + I):
+        with pytest.raises(ValueError, match="pure even or pure odd"):
+            versor_pair(v)
 
 
 def test_hodge_dual_of_vector_is_pure():

@@ -19,7 +19,7 @@ from spinroots.coxeter import (CapExceeded, RootSystem, SimpleRoots,
                                orbit_closure, simple_roots,
                                verify_root_system)
 from spinroots.exactfield import FieldScalar, to_ints
-from spinroots.quaternion import Quaternion, catalog
+from spinroots.quaternion import Quaternion, catalog, versor_pair
 from spinroots.spingroup import (classify_versors,
                                  check_pure_quaternion_subrootsystem,
                                  catalog_match, generate_from_two,
@@ -31,6 +31,7 @@ EXPECTED_SPINORS = {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
 EXPECTED_CATALOG = {"a1x3": "lipschitz", "a3": "hurwitz",
                     "b3": "hurwitz+duals", "h3": "icosians"}
 _ONE = FieldScalar(1)
+_ZERO = FieldScalar(0)
 
 
 def test_spinor_counts(spinor_sets):
@@ -39,19 +40,19 @@ def test_spinor_counts(spinor_sets):
 
 def test_spinor_sets_are_unit_rotors(spinor_sets):
     for ss in spinor_sets.values():
-        for r in ss.rotors:
+        for r in ss.elements:
             assert r.is_even()
             assert r * r.reverse() == ONE
 
 
 def test_spinor_sets_closed(spinor_sets):
     for g, ss in spinor_sets.items():
-        rotor_set = set(ss.rotors)
-        sample = ss.rotors if g != "h3" else ss.rotors[::5]
+        rotor_set = set(ss.elements)
+        sample = ss.elements if g != "h3" else ss.elements[::5]
         for a in sample:
             for b in sample:
                 assert a * b in rotor_set
-        for r in ss.rotors:
+        for r in ss.elements:
             assert r.reverse() in rotor_set
             assert -r in rotor_set
 
@@ -62,7 +63,7 @@ def test_pairwise_products_already_closed(closures, spinor_sets):
     for g, rs in closures.items():
         vecs = [vector(*r) for r in rs.roots]
         pairwise = {a * b for a in vecs for b in vecs}
-        assert pairwise == set(spinor_sets[g].rotors)
+        assert pairwise == set(spinor_sets[g].elements)
 
 
 def test_catalog_identity(spinor_sets):
@@ -71,8 +72,8 @@ def test_catalog_identity(spinor_sets):
 
 
 def test_catalog_match_none_for_other_sets():
-    from spinroots.spingroup import SpinorSet
-    ss = SpinorSet("junk", (ONE, -ONE))
+    from spinroots.spingroup import VersorGroup
+    ss = VersorGroup("junk", (ONE, -ONE))
     assert catalog_match(ss) is None
 
 
@@ -95,7 +96,7 @@ def test_worked_rotor_values_a1x3():
 def test_generate_from_two_matches_full(spinor_sets):
     for g in EXPECTED_SPINORS:
         two = generate_from_two(simple_roots(g))
-        assert set(two.rotors) == set(spinor_sets[g].rotors)
+        assert set(two.elements) == set(spinor_sets[g].elements)
 
 
 def test_generate_from_two_needs_three_roots():
@@ -136,7 +137,7 @@ def test_versor_group_structure(versor_groups):
 
 def test_even_versors_are_the_rotors(versor_groups, spinor_sets):
     for g, vg in versor_groups.items():
-        assert set(vg.even_elements()) == set(spinor_sets[g].rotors)
+        assert set(vg.even_elements()) == set(spinor_sets[g].elements)
         assert len(vg.odd_elements()) == len(vg.even_elements())
 
 
@@ -270,12 +271,12 @@ def test_pure_quaternion_witnesses(pipelines):
     # when it fails the witness is a dual root outside the spinor set
     w = pipelines["a3"].pure.witness
     assert w.grades() == {2}
-    assert w not in set(pipelines["a3"].spinors.rotors)
+    assert w not in set(pipelines["a3"].spinors.elements)
 
 
 def test_h3_duals_are_pure_icosians(pipelines):
     res = pipelines["h3"]
-    rotors = set(res.spinors.rotors)
+    rotors = set(res.spinors.elements)
     duals = {vector(*r).dual() for r in res.root_system.roots}
     assert len(duals) == 30
     assert duals <= rotors
@@ -314,8 +315,8 @@ def test_rank4_roots_equal_catalogs(pipelines):
 
 
 def test_induce_rank4_rejects_non_root_system():
-    from spinroots.spingroup import SpinorSet
-    ss = SpinorSet("junk", (ONE, ONE + ONE))  # images {1, 2}: parallel
+    from spinroots.spingroup import VersorGroup
+    ss = VersorGroup("junk", (ONE, ONE + ONE))  # images {1, 2}: parallel
     with pytest.raises(ValueError):
         induce_rank4(ss)
 
@@ -386,7 +387,7 @@ def test_generator_matrix_is_left_multiplication():
     # of q * p, and a step adds the parity, the negation and the reduction
     rng = random.Random(149)
     quats = [_rand_quaternion(rng, sparse) for sparse in (True, False) * 12]
-    quats += [spingroup._pair(v)[1]
+    quats += [versor_pair(v)[1]
               for v in _turned_h3_versors().elements[::9]]
     quats.append(Quaternion())
     for _ in range(120):
@@ -462,6 +463,54 @@ def test_pure_check_standalone(closures):
         closures["a3"], generate_versor_group(closures["a3"]))
     assert not res.holds
     assert not res.central_inversion
+
+
+def test_quaternions_reject_an_odd_element(versor_groups):
+    with pytest.raises(ValueError, match="even multivector"):
+        spingroup.VersorGroup("t", (ONE, E1)).quaternions()
+    with pytest.raises(ValueError, match="even multivector"):
+        versor_groups["a1x3"].quaternions()
+
+
+def test_pure_check_takes_no_geometric_product(pipelines, monkeypatch):
+    # the duals are read off the roots, and the witness is -I, the first
+    # of +-I in sorted order
+    products = []
+    original = Multivector.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    for g in ("a1x3", "a3", "b3", "h3"):
+        res = pipelines[g]
+        check = check_pure_quaternion_subrootsystem(res.root_system,
+                                                    res.versors)
+        assert check == res.pure
+        if g != "a3":
+            assert check.witness == -I
+    assert products == []
+
+
+def test_pure_check_asserts_the_biconditional(pipelines):
+    # without +-I the duals of A1xA1xA1's roots are still all rotors
+    res = pipelines["a1x3"]
+    without = spingroup.VersorGroup(
+        "a1x3", tuple(e for e in res.versors.elements if e not in (I, -I)))
+    with pytest.raises(AssertionError, match="disagree for a1x3"):
+        check_pure_quaternion_subrootsystem(res.root_system, without)
+
+
+def test_run_pipeline_rejects_a_closure_that_is_no_root_system():
+    # e1 and 2 e1 reflect alike, so the orbit holds both: a scalar multiple
+    doubled = SimpleRoots("doubled", ((_ONE, _ZERO, _ZERO),
+                                      (_ONE + _ONE, _ZERO, _ZERO),
+                                      (_ZERO, _ZERO, _ONE)))
+    with pytest.raises(ValueError,
+                       match="closure of doubled is not a root system: "
+                             "axiom 1"):
+        spingroup.run_pipeline(doubled)
 
 
 def test_export_json(pipelines):
