@@ -64,21 +64,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_spinors(args) -> int:
-    simple = coxeter.simple_roots(args.group)
-    # --json exports the whole pipeline, which already holds both closures
-    result = spingroup.run_pipeline(simple) if args.json else None
-    if args.from_two:
-        ss = (spingroup.generate_from_two(simple) if result is None
-              else result.two_generator)
-        print(f"spinors (from two generators): {len(ss)}")
-    else:
-        if result is None:
-            rs = coxeter.orbit_closure(simple)
-            coxeter.verify_root_system(rs)
-            ss = spingroup.generate_versor_group(rs).spinors()
-        else:
-            ss = result.spinors
-        print(f"spinors: {len(ss)}")
+    result = spingroup.run_pipeline(coxeter.simple_roots(args.group))
+    ss = result.two_generator if args.from_two else result.spinors
+    origin = " (from two generators)" if args.from_two else ""
+    print(f"spinors{origin}: {len(ss)}")
     name = spingroup.catalog_match(ss)
     if name is None:
         print("catalog match: none")
@@ -87,21 +76,14 @@ def cmd_spinors(args) -> int:
         print(f"catalog match: {name} (binary group {binary})")
     for q in ss.quaternions():
         print(f"  {q}")
-    if result is not None:
+    if args.json:
         _write_json(args.json, spingroup.export_json(result))
     return 0 if name is not None else 1
 
 
 def cmd_versors(args) -> int:
-    simple = coxeter.simple_roots(args.group)
-    if args.json:
-        result = spingroup.run_pipeline(simple)
-        vg, census = result.versors, result.census
-    else:
-        rs = coxeter.orbit_closure(simple)
-        coxeter.verify_root_system(rs)
-        vg = spingroup.generate_versor_group(rs)
-        census = spingroup.classify_versors(vg)
+    result = spingroup.run_pipeline(coxeter.simple_roots(args.group))
+    vg, census = result.versors, result.census
     print(f"group: {args.group}")
     print(f"unit versors: {len(vg)}")
     print(f"transformations: {census.transformations}")

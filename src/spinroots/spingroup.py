@@ -6,19 +6,18 @@ reflections, so the binary polyhedral group of rotors is the even half of
 that closure, and its quaternion images are the rank-4 root systems.  One
 type, ``VersorGroup``, holds both; the rotors are all even.
 
-The closure runs on (parity, quaternion) pairs (``quaternion.versor_pair``
-and ``versor_blades`` own that layout), the quaternion held as 16 integer
-coordinates (4 components on the basis 1, sqrt2, sqrt5, sqrt10) over one
-denominator.  Left multiplication by a generator is the sparse integer
-matrix of its Hamilton grid (``exactfield.linear_map``), so a step is one
-sparse product and one gcd, the kernel that reflections share
-(``exactfield.apply``), in the closure that the orbit of roots shares
-(``coxeter.accrete``); the result is sorted once.  A unit versor's
-transformation is fixed by the rotation of R, whose order follows from
-its scalar part cos theta (``coxeter.rotation_order``), so the census
-needs no matrices.  The census reads that part off blades 0 and 7
-directly: a Quaternion per element from ``versor_pair`` cost 1.3 ms more
-per pass over the four presets.
+A versor is held as its (parity, quaternion) pair (``quaternion.versor_pair``
+owns that layout): an even R as (0, q) and an odd v = I R as (1, q), with
+q the quaternion of R, from the closure through the census, the rank-4
+system and the output.  The closure holds q as 16 integer coordinates (4
+components on the basis 1, sqrt2, sqrt5, sqrt10) over one denominator.
+Left multiplication by a generator is the sparse integer matrix of its
+Hamilton grid (``exactfield.linear_map``), so a step is one sparse product
+and one gcd, the kernel that reflections share (``exactfield.apply``), in
+the closure that the orbit of roots shares (``coxeter.accrete``); the
+result is sorted once.  A unit versor's transformation is fixed by the
+rotation of R, whose order follows from its scalar part q0 = cos theta
+(``coxeter.rotation_order``), so the census needs no matrices.
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .clifford import I, Multivector, reflect, scalar, vector
+from .clifford import I, Multivector, reflect, vector
 from .coxeter import (RootSystem, SimpleRoots, accrete, orbit_closure,
                       rotation_order, verify_root_system)
 from .exactfield import (FieldScalar, apply, exact_sorted, from_ints,
                          linear_map, to_ints)
-from .quaternion import Quaternion, catalog, versor_blades, versor_pair
+from .quaternion import Quaternion, catalog, versor_pair
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
 BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
@@ -39,7 +38,6 @@ BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
-_MINUS_ONE = scalar(-1)
 
 
 def _unit(v: Multivector) -> Multivector:
@@ -72,7 +70,9 @@ def _step(gen, elem):
 
 def _mulclose(seed, cap: int):
     """Smallest set containing ``seed`` and closed under the geometric
-    product, as a tuple of Multivectors sorted by components.
+    product, as a tuple of (parity, Quaternion) pairs: the even elements,
+    then the odd, each half sorted by the blades of R (q0, q3, q1, q2), so
+    the even half is in the order of its Multivectors' components.
 
     Each element is held as (parity, coords, den): its
     ``quaternion.versor_pair``, the quaternion as its reduced integer
@@ -81,16 +81,19 @@ def _mulclose(seed, cap: int):
     from_spinor reverses products, so a step multiplies q_A on the left by
     q_B (the matrix of ``_generator``), XORs the parities and negates when
     both are odd (I^2 = -1).  The seed elements, in sorted order, are the
-    seeds of ``coxeter.accrete``; ``versor_blades`` turns the closure back
-    into Multivectors.
+    seeds of ``coxeter.accrete``.
     """
     pairs = map(versor_pair, sorted(seed, key=lambda m: m.components))
     elements = accrete((((p, *to_ints(q.components)), (p, q))
                         for p, q in pairs),
                        lambda pq: _generator(*pq), _step, cap)
-    rows = [versor_blades(odd, from_ints(coords, den))
-            for odd, coords, den in elements]
-    return tuple(Multivector(row) for row in exact_sorted(rows))
+    halves = ([], [])
+    for odd, coords, den in elements:
+        q0, q1, q2, q3 = from_ints(coords, den)
+        halves[odd].append((q0, q3, q1, q2))
+    return tuple((odd, Quaternion(q0, q1, q2, q3))
+                 for odd, half in enumerate(halves)
+                 for q0, q3, q1, q2 in exact_sorted(half))
 
 
 def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
@@ -106,42 +109,40 @@ def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
 
 @dataclass(frozen=True)
 class VersorGroup:
-    """Unit versors sorted by components; the rotors are the even ones."""
+    """Unit versors as (parity, quaternion of R) pairs, even before odd,
+    each half sorted by R's blades; the rotors are the even ones."""
     group: str
-    elements: tuple[Multivector, ...]
+    elements: tuple[tuple[int, Quaternion], ...]
 
     def __len__(self):
         return len(self.elements)
 
-    def even_elements(self) -> tuple[Multivector, ...]:
-        return tuple(e for e in self.elements if e.is_even())
-
-    def odd_elements(self) -> tuple[Multivector, ...]:
-        return tuple(e for e in self.elements if e.is_odd())
-
     def spinors(self) -> VersorGroup:
         """The rotors: the even half, in the elements' sorted order."""
-        return VersorGroup(self.group, self.even_elements())
+        return VersorGroup(self.group,
+                           tuple(e for e in self.elements if not e[0]))
 
     def quaternions(self) -> tuple[Quaternion, ...]:
         """The images of the elements; ValueError if one is odd."""
-        return tuple(Quaternion.from_spinor(r) for r in self.elements)
+        if any(parity for parity, _ in self.elements):
+            raise ValueError("spinor map needs an even multivector")
+        return tuple(q for _, q in self.elements)
 
 
 def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
     Every element must have pure parity (``_mulclose`` checks it) and unit
-    magnitude; for a pure-parity element of Cl(3), v * ~v is the sum of
-    the squares of its components.  The even half are the rotors.
+    magnitude: v * ~v is the norm of R's quaternion for either parity.
+    The even half are the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
     if not rs.verified:
         raise ValueError("verify the root system before generating versors")
     elements = _mulclose({_unit(vector(*r)) for r in rs.roots}, cap)
-    for elem in elements:
-        if sum((c * c for c in elem.components if c), _ZERO) != _ONE:
+    for _, q in elements:
+        if sum((c * c for c in q.components if c), _ZERO) != _ONE:
             raise ValueError("closure produced a non-unit versor")
     return VersorGroup(rs.group, elements)
 
@@ -175,35 +176,34 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
 
     A unit versor and its negative induce the same transformation, and no
     other pair does, so every count is halved exactly when -1 is in the
-    group.  Each versor is read off one scalar part w: w = c[0] for an even
-    versor, and for an odd v = I R the scalar part c[7] of R = -I v.  An even
-    versor with w^2 = 1 is the identity, and otherwise a rotation of order
-    ``rotation_order(w^2)``.  An odd versor acts as minus the rotation of
-    R: with w = 0 that rotation is a half-turn and v a pure reflection;
-    with w^2 = 1, v = +-I is the central inversion, which counts among the
-    rotoinversions; any other odd versor is a rotoinversion.
+    group.  Each (parity, q) pair is read off the scalar part w = q0 of R,
+    for either parity.  An even versor with w^2 = 1 is the identity, and
+    otherwise a rotation of order ``rotation_order(w^2)``.  An odd versor
+    v = I R acts as minus the rotation of R: with w = 0 that rotation is a
+    half-turn and v a pure reflection; with w^2 = 1, v = +-I is the central
+    inversion, which counts among the rotoinversions; any other odd versor
+    is a rotoinversion.
     """
     n_identity = reflections = rotoinversions = even = odd = 0
     rotations: Counter = Counter()
     central = False
-    for v in vg.elements:
-        c = v.components
-        if v.is_even():
-            even += 1
-            w2 = c[0] * c[0]
-            if w2 == _ONE:
-                n_identity += 1
-            else:
-                rotations[rotation_order(w2)] += 1
-        else:
+    for parity, q in vg.elements:
+        w = q.components[0]
+        if parity:
             odd += 1
-            w = c[7]
             if not w:
                 reflections += 1
             else:
                 rotoinversions += 1
                 central = central or w * w == _ONE
-    k = 2 if _MINUS_ONE in vg.elements else 1
+        else:
+            even += 1
+            w2 = w * w
+            if w2 == _ONE:
+                n_identity += 1
+            else:
+                rotations[rotation_order(w2)] += 1
+    k = 2 if (0, Quaternion(-1)) in vg.elements else 1
     return VersorCensus(len(vg) // k, n_identity // k,
                         {n: m // k for n, m in rotations.items()},
                         reflections // k, rotoinversions // k,
@@ -222,27 +222,26 @@ def check_pure_quaternion_subrootsystem(
     """Decide whether the Hodge duals of all roots are even versors of
     ``vg``, the versor group of ``rs``.
 
-    The dual of a unit root a is the even versor of the pure quaternion
-    (0, a), so no geometric product is taken.  Independently determines
-    whether the central inversion is generated and asserts the
-    biconditional between the two: the central inversion is realized by
-    +-I, the only unit versors acting as -identity, and a group holding
-    one holds the other.  The witness is -I, the first of them in sorted
-    order, when the property holds, or a dual root that escapes the
-    spinor set when it fails.
+    The dual of a unit root a is the even versor (0, (0, a)), so no
+    geometric product is taken.  Independently determines whether the
+    central inversion is generated and asserts the biconditional between
+    the two: the central inversion is realized by +-I = (1, +-1), the only
+    unit versors acting as -identity, and a group holding one holds the
+    other.  The witness is the Multivector -I when the property holds, or
+    a dual root that escapes the spinor set when it fails.
     """
-    blades = {e.components for e in vg.elements}
-    duals = (versor_blades(0, (_ZERO, *_unit(vector(*root)).components[1:4]))
+    elements = set(vg.elements)
+    duals = ((0, Quaternion(_ZERO, *_unit(vector(*root)).components[1:4]))
              for root in rs.roots)
-    missing = next((d for d in duals if d not in blades), None)
+    missing = next((d for d in duals if d not in elements), None)
     holds = missing is None
-    central = I in vg.elements
+    central = (1, Quaternion(1)) in elements
     if holds != central:
         raise AssertionError(
             "pure-quaternion property and central inversion disagree "
             f"for {rs.group}: holds={holds}, central={central}")
     return PureQuaternionCheck(holds, central,
-                               -I if holds else Multivector(missing))
+                               -I if holds else missing[1].to_spinor())
 
 
 def induce_rank4(ss: VersorGroup) -> RootSystem:

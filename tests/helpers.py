@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from spinroots.clifford import Multivector
 from spinroots.exactfield import FieldScalar
+from spinroots.quaternion import versor_blades
 
 # Independent blade arithmetic: blades as tuples of frame-vector indices,
 # multiplied by concatenation, bubble-sorted with a sign per swap, equal
@@ -50,6 +51,13 @@ def geometric_product_oracle(x: Multivector, y: Multivector) -> Multivector:
             sign, k = blade_product_oracle(i, j)
             out[k] = out[k] + a * b if sign > 0 else out[k] - a * b
     return Multivector(out)
+
+
+def multivectors(vg) -> tuple[Multivector, ...]:
+    """The (parity, quaternion) elements of a versor group as Multivectors,
+    in the group's order, built through ``quaternion.versor_blades``."""
+    return tuple(Multivector(versor_blades(parity, q.components))
+                 for parity, q in vg.elements)
 
 
 def rand_fraction(rng, bound: int = 9) -> Fraction:

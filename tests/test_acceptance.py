@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from helpers import (induced_matrix, rand_multivector, rand_nonzero_scalar,
-                     rand_scalar, rand_vector_mv)
+from helpers import (induced_matrix, multivectors, rand_multivector,
+                     rand_nonzero_scalar, rand_scalar, rand_vector_mv)
 from spinroots import clifford
 from spinroots.clifford import E1, E2, E3, I, ONE, Multivector, reflect, vector
 from spinroots.coxeter import (RootSystem, cartan_matrix, simple_roots,
@@ -53,7 +53,7 @@ def test_criterion_1_root_counts(pipelines):
 def test_criterion_2_spinor_counts_and_closure(pipelines):
     with criterion(2, "spinor counts, product and reversal closure"):
         for g, res in pipelines.items():
-            rotors = res.spinors.elements
+            rotors = multivectors(res.spinors)
             assert len(rotors) == TABLE_SPINORS[g]
             rotor_set = set(rotors)
             for r in rotors:
@@ -75,10 +75,10 @@ def test_criterion_4_group_orders(pipelines):
         from collections import Counter
         for g, res in pipelines.items():
             vg = res.versors
-            matrices = {e: induced_matrix(e) for e in vg.elements}
+            matrices = {e: induced_matrix(e) for e in multivectors(vg)}
             assert len(set(matrices.values())) == TABLE_ORDER[g]
             assert res.census.transformations == TABLE_ORDER[g]
-            counts = Counter(matrices[e] for e in vg.even_elements())
+            counts = Counter(matrices[e] for e in multivectors(vg.spinors()))
             assert set(counts.values()) == {2}
 
 
@@ -113,7 +113,7 @@ def test_criterion_8_pure_quaternion_property(pipelines):
         for res in pipelines.values():
             assert res.pure.holds == res.pure.central_inversion
         h3 = pipelines["h3"]
-        rotors = set(h3.spinors.elements)
+        rotors = set(multivectors(h3.spinors))
         duals = {vector(*r).dual() for r in h3.root_system.roots}
         assert len(duals) == 30
         assert duals <= rotors

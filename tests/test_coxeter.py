@@ -12,7 +12,7 @@ import pytest
 from helpers import (brute_force_axiom2, brute_force_orbit,
                      decompose_in_simple, induced_matrix, is_rational,
                      mat_det3, mat_identity, mat_mul, mat_order,
-                     rand_nonzero_scalar, rand_scalar, rand_sparse_scalar,
+                     multivectors, rand_nonzero_scalar, rand_scalar, rand_sparse_scalar,
                      reflect_oracle, reflection_matrix, turn)
 from spinroots import clifford, coxeter
 from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
@@ -612,7 +612,7 @@ def test_group_orders(pipelines):
     want = {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
     assert {g: res.census.transformations
             for g, res in pipelines.items()} == want
-    assert {g: len({induced_matrix(e) for e in res.versors.elements})
+    assert {g: len({induced_matrix(e) for e in multivectors(res.versors)})
             for g, res in pipelines.items()} == want
 
 

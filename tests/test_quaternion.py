@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from helpers import rand_multivector, rand_scalar, rand_vector_mv
+from helpers import (multivectors, rand_multivector, rand_scalar,
+                     rand_vector_mv)
 from spinroots.clifford import E1, E2, E3, I, ONE, Multivector
 from spinroots.exactfield import FieldScalar
 from spinroots.quaternion import (QI, QJ, QK, QONE, Quaternion, apply_pq,
@@ -158,7 +159,7 @@ def test_versor_blades_inverts_versor_pair(versor_groups):
     # every element of the four versor groups, and random even and odd
     # multivectors (zero among them), come back blade for blade
     rng = random.Random(107)
-    samples = [v for vg in versor_groups.values() for v in vg.elements]
+    samples = [v for vg in versor_groups.values() for v in multivectors(vg)]
     for _ in range(200):
         even = rand_multivector(rng).grade(0) + rand_multivector(rng).grade(2)
         odd = rand_multivector(rng).grade(1) + rand_multivector(rng).grade(3)

@@ -10,16 +10,18 @@ from fractions import Fraction
 import pytest
 
 from helpers import (induced_matrix, mat_det3, mat_identity, mat_mul,
-                     matrix_census, plain_closure, quaternion_coords,
+                     matrix_census, multivectors, plain_closure,
+                     quaternion_coords,
                      rand_nonzero_scalar, rand_sparse_scalar, rand_vector_mv,
                      turn)
 from spinroots import clifford, spingroup
 from spinroots.clifford import E1, E2, I, ONE, Multivector, vector
-from spinroots.coxeter import (CapExceeded, RootSystem, SimpleRoots,
-                               orbit_closure, simple_roots,
+from spinroots.coxeter import (GROUPS, CapExceeded, RootSystem,
+                               SimpleRoots, orbit_closure, simple_roots,
                                verify_root_system)
 from spinroots.exactfield import FieldScalar, to_ints
-from spinroots.quaternion import Quaternion, catalog, versor_pair
+from spinroots.quaternion import (Quaternion, catalog, versor_blades,
+                                  versor_pair)
 from spinroots.spingroup import (classify_versors,
                                  check_pure_quaternion_subrootsystem,
                                  catalog_match, generate_from_two,
@@ -40,19 +42,20 @@ def test_spinor_counts(spinor_sets):
 
 def test_spinor_sets_are_unit_rotors(spinor_sets):
     for ss in spinor_sets.values():
-        for r in ss.elements:
+        for r in multivectors(ss):
             assert r.is_even()
             assert r * r.reverse() == ONE
 
 
 def test_spinor_sets_closed(spinor_sets):
     for g, ss in spinor_sets.items():
-        rotor_set = set(ss.elements)
-        sample = ss.elements if g != "h3" else ss.elements[::5]
+        rotors = multivectors(ss)
+        rotor_set = set(rotors)
+        sample = rotors if g != "h3" else rotors[::5]
         for a in sample:
             for b in sample:
                 assert a * b in rotor_set
-        for r in ss.elements:
+        for r in rotors:
             assert r.reverse() in rotor_set
             assert -r in rotor_set
 
@@ -63,7 +66,7 @@ def test_pairwise_products_already_closed(closures, spinor_sets):
     for g, rs in closures.items():
         vecs = [vector(*r) for r in rs.roots]
         pairwise = {a * b for a in vecs for b in vecs}
-        assert pairwise == set(spinor_sets[g].elements)
+        assert pairwise == set(multivectors(spinor_sets[g]))
 
 
 def test_catalog_identity(spinor_sets):
@@ -73,7 +76,7 @@ def test_catalog_identity(spinor_sets):
 
 def test_catalog_match_none_for_other_sets():
     from spinroots.spingroup import VersorGroup
-    ss = VersorGroup("junk", (ONE, -ONE))
+    ss = VersorGroup("junk", (versor_pair(ONE), versor_pair(-ONE)))
     assert catalog_match(ss) is None
 
 
@@ -122,14 +125,15 @@ def test_versor_group_sizes(versor_groups):
 
 def test_versor_group_structure(versor_groups):
     for g, vg in versor_groups.items():
-        elements = set(vg.elements)
+        versors = multivectors(vg)
+        elements = set(versors)
         assert ONE in elements
-        for e in vg.elements:
+        for e in versors:
             assert e.is_even() or e.is_odd()
             assert e.mag2() == _ONE
             assert e.reverse() in elements
             assert e * e.reverse() == ONE
-        sample = vg.elements if g != "h3" else vg.elements[::6]
+        sample = versors if g != "h3" else versors[::6]
         for a in sample:
             for b in sample:
                 assert a * b in elements
@@ -137,21 +141,24 @@ def test_versor_group_structure(versor_groups):
 
 def test_even_versors_are_the_rotors(versor_groups, spinor_sets):
     for g, vg in versor_groups.items():
-        assert set(vg.even_elements()) == set(spinor_sets[g].elements)
-        assert len(vg.odd_elements()) == len(vg.even_elements())
+        versors = multivectors(vg)
+        assert {e for e in versors if e.is_even()} == \
+            set(multivectors(spinor_sets[g]))
+        assert len([e for e in versors if e.is_odd()]) == len(spinor_sets[g])
 
 
 def test_induced_transformation_counts(versor_groups):
-    assert {g: len({induced_matrix(e) for e in vg.elements})
+    assert {g: len({induced_matrix(e) for e in multivectors(vg)})
             for g, vg in versor_groups.items()} == \
         {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
 
 
 def test_rotor_to_rotation_two_to_one(versor_groups):
     for vg in versor_groups.values():
-        counts = Counter(induced_matrix(e) for e in vg.even_elements())
+        rotors = multivectors(vg.spinors())
+        counts = Counter(induced_matrix(e) for e in rotors)
         assert set(counts.values()) == {2}
-        for e in vg.even_elements():
+        for e in rotors:
             assert induced_matrix(e) == induced_matrix(-e)
 
 
@@ -165,7 +172,7 @@ def test_induced_matrix_equals_sandwich_columns(versor_groups):
     # all 400 versors of the four groups, even and odd
     count = 0
     for vg in versor_groups.values():
-        for v in vg.elements:
+        for v in multivectors(vg):
             assert induced_matrix(v) == _sandwich_matrix(v)
             count += 1
     assert count == 400
@@ -184,7 +191,7 @@ def test_induced_matrix_of_non_unit_and_bad_versors():
 def test_induced_matrices_are_orthogonal(versor_groups):
     # columns of each induced matrix form an orthonormal frame
     for vg in versor_groups.values():
-        for m in [induced_matrix(e) for e in vg.elements[:40]]:
+        for m in [induced_matrix(e) for e in multivectors(vg)[:40]]:
             mt = tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
             assert mat_mul(mt, m) == mat_identity(3)
             assert mat_det3(m) in (_ONE, -_ONE)
@@ -222,17 +229,19 @@ def test_census_matches_matrix_oracle(versor_groups):
     # matrices, in the preset frames and in a turned frame with dense versors
     groups = dict(versor_groups, turned_h3=_turned_h3_versors())
     for g, vg in groups.items():
-        assert classify_versors(vg).to_json() == matrix_census(vg.elements), g
-    assert not set(groups["turned_h3"].elements) & set(
-        versor_groups["h3"].elements) - {ONE, -ONE, I, -I}
+        assert classify_versors(vg).to_json() == \
+            matrix_census(multivectors(vg)), g
+    assert not set(multivectors(groups["turned_h3"])) & set(
+        multivectors(versor_groups["h3"])) - {ONE, -ONE, I, -I}
 
 
 def test_census_of_a_group_without_minus_one():
     # {1, e1} is the reflection group of order 2: no -1, so nothing halves
+    # the even element first, then the odd
     vg = spingroup.VersorGroup("t", spingroup._mulclose({E1}, cap=4))
-    assert vg.elements == (E1, ONE)
+    assert vg.elements == (versor_pair(ONE), versor_pair(E1))
     census = classify_versors(vg)
-    assert census.to_json() == matrix_census(vg.elements)
+    assert census.to_json() == matrix_census(multivectors(vg))
     assert (census.transformations, census.identity, census.reflections,
             census.odd) == (2, 1, 1, 1)
 
@@ -271,12 +280,12 @@ def test_pure_quaternion_witnesses(pipelines):
     # when it fails the witness is a dual root outside the spinor set
     w = pipelines["a3"].pure.witness
     assert w.grades() == {2}
-    assert w not in set(pipelines["a3"].spinors.elements)
+    assert w not in set(multivectors(pipelines["a3"].spinors))
 
 
 def test_h3_duals_are_pure_icosians(pipelines):
     res = pipelines["h3"]
-    rotors = set(res.spinors.elements)
+    rotors = set(multivectors(res.spinors))
     duals = {vector(*r).dual() for r in res.root_system.roots}
     assert len(duals) == 30
     assert duals <= rotors
@@ -316,7 +325,8 @@ def test_rank4_roots_equal_catalogs(pipelines):
 
 def test_induce_rank4_rejects_non_root_system():
     from spinroots.spingroup import VersorGroup
-    ss = VersorGroup("junk", (ONE, ONE + ONE))  # images {1, 2}: parallel
+    # images {1, 2}: parallel
+    ss = VersorGroup("junk", (versor_pair(ONE), versor_pair(ONE + ONE)))
     with pytest.raises(ValueError):
         induce_rank4(ss)
 
@@ -387,8 +397,7 @@ def test_generator_matrix_is_left_multiplication():
     # of q * p, and a step adds the parity, the negation and the reduction
     rng = random.Random(149)
     quats = [_rand_quaternion(rng, sparse) for sparse in (True, False) * 12]
-    quats += [versor_pair(v)[1]
-              for v in _turned_h3_versors().elements[::9]]
+    quats += [q for _, q in _turned_h3_versors().elements[::9]]
     quats.append(Quaternion())
     for _ in range(120):
         q, p = rng.choice(quats), rng.choice(quats)
@@ -417,16 +426,25 @@ def _two_generator_seed(simple):
     return {r1, r2, r1.reverse(), r2.reverse()}
 
 
+def _documented_order(versors):
+    """The (parity, quaternion) pairs of ``versors``, even before odd, each
+    half in the order of the blades of R."""
+    return tuple(sorted(map(versor_pair, versors),
+                        key=lambda pq: (pq[0],
+                                        versor_blades(0, pq[1].components))))
+
+
 def test_mulclose_equals_plain_closure(closures):
-    # element for element and in order, on the versor seeds and the
-    # two-generator seeds of the presets and of turned H3
+    # element for element and in the documented order, on the versor seeds
+    # and the two-generator seeds of the presets and of turned H3
     turned, turned_rs = _turned_h3()
     cases = [(closures[g], simple_roots(g)) for g in EXPECTED_SPINORS]
     cases.append((turned_rs, turned))
     for rs, simple in cases:
         versor_seed = {spingroup._unit(vector(*r)) for r in rs.roots}
         for seed in (versor_seed, _two_generator_seed(simple)):
-            assert spingroup._mulclose(seed, cap=1000) == plain_closure(seed)
+            assert spingroup._mulclose(seed, cap=1000) == \
+                _documented_order(plain_closure(seed))
     with pytest.raises(CapExceeded):
         generate_versor_group(turned_rs, cap=50)
     with pytest.raises(ValueError, match="pure even or pure odd"):
@@ -453,7 +471,8 @@ def test_versor_group_rejects_non_unit_versors(closures, monkeypatch):
     # a closure that hands back pure-parity elements of norm 4 and 2
     for bad in (vector(2, 0, 0), E1 * E2 + ONE):
         monkeypatch.setattr(spingroup, "_mulclose",
-                            lambda seed, cap, bad=bad: (ONE, bad))
+                            lambda seed, cap, bad=bad: (versor_pair(ONE),
+                                                        versor_pair(bad)))
         with pytest.raises(ValueError, match="non-unit versor"):
             generate_versor_group(closures["a1x3"])
 
@@ -467,7 +486,8 @@ def test_pure_check_standalone(closures):
 
 def test_quaternions_reject_an_odd_element(versor_groups):
     with pytest.raises(ValueError, match="even multivector"):
-        spingroup.VersorGroup("t", (ONE, E1)).quaternions()
+        spingroup.VersorGroup(
+            "t", (versor_pair(ONE), versor_pair(E1))).quaternions()
     with pytest.raises(ValueError, match="even multivector"):
         versor_groups["a1x3"].quaternions()
 
@@ -497,7 +517,8 @@ def test_pure_check_asserts_the_biconditional(pipelines):
     # without +-I the duals of A1xA1xA1's roots are still all rotors
     res = pipelines["a1x3"]
     without = spingroup.VersorGroup(
-        "a1x3", tuple(e for e in res.versors.elements if e not in (I, -I)))
+        "a1x3", tuple(e for e in res.versors.elements
+                      if e not in (versor_pair(I), versor_pair(-I))))
     with pytest.raises(AssertionError, match="disagree for a1x3"):
         check_pure_quaternion_subrootsystem(res.root_system, without)
 
@@ -511,6 +532,22 @@ def test_run_pipeline_rejects_a_closure_that_is_no_root_system():
                        match="closure of doubled is not a root system: "
                              "axiom 1"):
         spingroup.run_pipeline(doubled)
+
+
+def test_pipeline_maps_only_the_two_generator_seeds(monkeypatch):
+    # the closures hand back (parity, quaternion) pairs, so the spinor map
+    # is left only for the four even seeds of each two-generator closure
+    calls = []
+    original = Quaternion.from_spinor.__func__
+
+    def counted(cls, mv):
+        calls.append(1)
+        return original(cls, mv)
+
+    monkeypatch.setattr(Quaternion, "from_spinor", classmethod(counted))
+    for g in GROUPS:
+        spingroup.run_pipeline(simple_roots(g))
+    assert len(calls) <= 16
 
 
 def test_export_json(pipelines):
