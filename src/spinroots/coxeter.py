@@ -210,12 +210,14 @@ class Certificate:
     message: str = "ok"
 
 
-def _direction(x: Root) -> Root:
-    """x scaled so that its first nonzero entry is 1 (x != 0)."""
+def _direction(x: Root, inverses: dict) -> Root:
+    """x != 0 scaled so its first nonzero entry is 1, by a cached inverse."""
     pivot = next(v for v in x if v)
     if pivot == _ONE:
         return x
-    inv = pivot.inverse()
+    inv = inverses.get(pivot)
+    if inv is None:
+        inv = inverses[pivot] = pivot.inverse()
     return tuple(v * inv for v in x)
 
 
@@ -249,8 +251,9 @@ def verify_root_system(rs: RootSystem) -> Certificate:
             return Certificate(False, 1, (alpha,),
                                "negative of root missing")
     buckets: dict[Root, list[Root]] = {}
+    inverses: dict = {}
     for beta in roots:
-        bucket = buckets.setdefault(_direction(beta), [])
+        bucket = buckets.setdefault(_direction(beta, inverses), [])
         for alpha in bucket:
             if beta != negate(alpha):
                 return Certificate(False, 1, (alpha, beta),

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from . import clifford
-from .exactfield import RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
+from .exactfield import ONE, RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
 
 
 class Quaternion:
@@ -88,18 +88,18 @@ class Quaternion:
         return Quaternion(q0, -q1, -q2, -q3)
 
     def norm_sq(self) -> FieldScalar:
-        return sum((x * x for x in self.components), FieldScalar(0))
+        return sum((x * x for x in self.components if x), ZERO)
 
     def inner(self, other: Quaternion) -> FieldScalar:
         """(p, q) = (conj(p) q + p conj(q)) / 2, the Euclidean 4D dot."""
-        return sum((x * y for x, y in zip(self.components, other.components)),
-                   FieldScalar(0))
+        return sum((x * y for x, y in zip(self.components, other.components)
+                    if x and y), ZERO)
 
     def is_pure(self) -> bool:
         return not self.components[0]
 
     def is_unit(self) -> bool:
-        return self.norm_sq() == FieldScalar(1)
+        return self.norm_sq() == ONE
 
     # -- spinor correspondence ----------------------------------------------
 

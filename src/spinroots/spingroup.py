@@ -8,16 +8,17 @@ type, ``VersorGroup``, holds both; the rotors are all even.
 
 A versor is held as its (parity, quaternion) pair (``quaternion.versor_pair``
 owns that layout): an even R as (0, q) and an odd v = I R as (1, q), with
-q the quaternion of R, from the closure through the census, the rank-4
-system and the output.  The closure holds q as 16 integer coordinates (4
-components on the basis 1, sqrt2, sqrt5, sqrt10) over one denominator.
-Left multiplication by a generator is the sparse integer matrix of its
-Hamilton grid (``exactfield.linear_map``), so a step is one sparse product
-and one gcd, the kernel that reflections share (``exactfield.apply``), in
-the closure that the orbit of roots shares (``coxeter.accrete``); the
-result is sorted once.  A unit versor's transformation is fixed by the
-rotation of R, whose order follows from its scalar part q0 = cos theta
-(``coxeter.rotation_order``), so the census needs no matrices.
+q the quaternion of R, from the roots, read as the pure quaternions of
+their duals (``_dual``), to the output, so no Multivector is built.  The
+closure holds q as 16 integer coordinates over one denominator
+(``exactfield.to_ints``).  Left multiplication by a generator is the
+sparse integer matrix of its Hamilton grid (``exactfield.linear_map``), so
+a step is one sparse product and one gcd, the kernel that reflections
+share (``exactfield.apply``), in the closure that the orbit of roots
+shares (``coxeter.accrete``); the result is sorted once.  A unit versor's
+transformation is fixed by the rotation of R, whose order follows from its
+scalar part q0 = cos theta (``coxeter.rotation_order``), so the census
+needs no matrices.
 """
 
 from __future__ import annotations
@@ -25,31 +26,30 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .clifford import I, Multivector, reflect, vector
-from .coxeter import (RootSystem, SimpleRoots, accrete, orbit_closure,
+from .clifford import Multivector, reflect
+from .coxeter import (RootSystem, SimpleRoots, accrete, dot, orbit_closure,
                       rotation_order, verify_root_system)
-from .exactfield import (FieldScalar, apply, exact_sorted, from_ints,
+from .exactfield import (ONE, ZERO, apply, exact_sorted, from_ints,
                          linear_map, to_ints)
-from .quaternion import Quaternion, catalog, versor_pair
+from .quaternion import Quaternion, catalog
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
 BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
                "hurwitz+duals": "2O", "icosians": "2I"}
 
-_ZERO = FieldScalar(0)
-_ONE = FieldScalar(1)
 
-
-def _unit(v: Multivector) -> Multivector:
-    m2 = sum((c * c for c in v.components[1:4] if c), _ZERO)
+def _dual(root) -> Quaternion:
+    """(0, a) for the unit root a along ``root``: the quaternion of I a."""
+    m2 = dot(root, root)
     if not m2:
         raise ValueError("the zero vector cannot be normalized")
-    if m2 == _ONE:
-        return v
-    s = m2.sqrt()
-    if s is None:
-        raise ValueError(f"norm sqrt({m2}) leaves the field")
-    return v * s.inverse()
+    if m2 != ONE:
+        s = m2.sqrt()
+        if s is None:
+            raise ValueError(f"norm sqrt({m2}) leaves the field")
+        inv = s.inverse()
+        root = [c * inv for c in root]
+    return Quaternion(ZERO, *root)
 
 
 def _generator(parity: int, q: Quaternion):
@@ -69,23 +69,20 @@ def _step(gen, elem):
 
 
 def _mulclose(seed, cap: int):
-    """Smallest set containing ``seed`` and closed under the geometric
-    product, as a tuple of (parity, Quaternion) pairs: the even elements,
-    then the odd, each half sorted by the blades of R (q0, q3, q1, q2), so
-    the even half is in the order of its Multivectors' components.
+    """Smallest set of (parity, Quaternion) pairs containing ``seed`` and
+    closed under the geometric product: the even elements, then the odd,
+    each half sorted by the blades of R (q0, q3, q1, q2).
 
-    Each element is held as (parity, coords, den): its
-    ``quaternion.versor_pair``, the quaternion as its reduced integer
-    coordinates (``exactfield.to_ints``), so tuple equality is exact.
-    Since I is central, (I^a R_A)(I^b R_B) = I^(a+b) R_A R_B, and
-    from_spinor reverses products, so a step multiplies q_A on the left by
-    q_B (the matrix of ``_generator``), XORs the parities and negates when
-    both are odd (I^2 = -1).  The seed elements, in sorted order, are the
-    seeds of ``coxeter.accrete``.
+    Each element is held as (parity, coords, den): the quaternion as its
+    reduced integer coordinates (``exactfield.to_ints``), so tuple
+    equality is exact.  Since I is central, (I^a R_A)(I^b R_B) =
+    I^(a+b) R_A R_B, and from_spinor reverses products, so a step
+    multiplies q_A on the left by q_B (the matrix of ``_generator``), XORs
+    the parities and negates when both are odd (I^2 = -1).  The seed
+    pairs, in the order given, are the seeds of ``coxeter.accrete``.
     """
-    pairs = map(versor_pair, sorted(seed, key=lambda m: m.components))
     elements = accrete((((p, *to_ints(q.components)), (p, q))
-                        for p, q in pairs),
+                        for p, q in seed),
                        lambda pq: _generator(*pq), _step, cap)
     halves = ([], [])
     for odd, coords, den in elements:
@@ -97,13 +94,14 @@ def _mulclose(seed, cap: int):
 
 
 def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
-    """Closure of the two spinor generators a1 a2 and a2 a3 (with reverses)."""
+    """Closure of the two spinor generators a1 a2 and a2 a3 (with reverses).
+    With d_i = (0, a_i) the simple roots' duals, a1 a2 = a1.a2 + I a1 x a2
+    has the quaternion -(d2 d1) = (a1.a2, a1 x a2); a reverse conjugates."""
     if len(simple.roots) != 3:
         raise ValueError("need exactly three simple roots")
-    v1, v2, v3 = (_unit(vector(*r)) for r in simple.roots)
-    r1 = v1 * v2
-    r2 = v2 * v3
-    seed = {r1, r2, r1.reverse(), r2.reverse()}
+    d1, d2, d3 = map(_dual, simple.roots)
+    r1, r2 = -(d2 * d1), -(d3 * d2)
+    seed = ((0, r) for r in (r1, r2, r1.conjugate(), r2.conjugate()))
     return VersorGroup(simple.group, _mulclose(seed, cap))
 
 
@@ -132,18 +130,17 @@ class VersorGroup:
 def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
-    Every element must have pure parity (``_mulclose`` checks it) and unit
-    magnitude: v * ~v is the norm of R's quaternion for either parity.
-    The even half are the rotors.
+    A root a = I (-I a) enters as the odd pair (1, -(0, a)), in the order of
+    ``rs.roots``.  Every element must have unit magnitude: v * ~v is the
+    norm of R's quaternion for either parity.  The even half are the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
     if not rs.verified:
         raise ValueError("verify the root system before generating versors")
-    elements = _mulclose({_unit(vector(*r)) for r in rs.roots}, cap)
-    for _, q in elements:
-        if sum((c * c for c in q.components if c), _ZERO) != _ONE:
-            raise ValueError("closure produced a non-unit versor")
+    elements = _mulclose(((1, -_dual(r)) for r in rs.roots), cap)
+    if not all(q.is_unit() for _, q in elements):
+        raise ValueError("closure produced a non-unit versor")
     return VersorGroup(rs.group, elements)
 
 
@@ -195,11 +192,11 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
                 reflections += 1
             else:
                 rotoinversions += 1
-                central = central or w * w == _ONE
+                central = central or w * w == ONE
         else:
             even += 1
             w2 = w * w
-            if w2 == _ONE:
+            if w2 == ONE:
                 n_identity += 1
             else:
                 rotations[rotation_order(w2)] += 1
@@ -212,9 +209,10 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
 
 @dataclass(frozen=True)
 class PureQuaternionCheck:
+    """The witness is a (parity, quaternion) pair: -I or a missing dual."""
     holds: bool
     central_inversion: bool
-    witness: object
+    witness: tuple[int, Quaternion]
 
 
 def check_pure_quaternion_subrootsystem(
@@ -222,17 +220,16 @@ def check_pure_quaternion_subrootsystem(
     """Decide whether the Hodge duals of all roots are even versors of
     ``vg``, the versor group of ``rs``.
 
-    The dual of a unit root a is the even versor (0, (0, a)), so no
+    The dual of a root a is the even pair (0, (0, a)) (``_dual``), so no
     geometric product is taken.  Independently determines whether the
     central inversion is generated and asserts the biconditional between
     the two: the central inversion is realized by +-I = (1, +-1), the only
     unit versors acting as -identity, and a group holding one holds the
-    other.  The witness is the Multivector -I when the property holds, or
-    a dual root that escapes the spinor set when it fails.
+    other.  The witness is -I = (1, -1) when the property holds, or the
+    pair of a dual root that escapes the spinor set when it fails.
     """
     elements = set(vg.elements)
-    duals = ((0, Quaternion(_ZERO, *_unit(vector(*root)).components[1:4]))
-             for root in rs.roots)
+    duals = ((0, _dual(root)) for root in rs.roots)
     missing = next((d for d in duals if d not in elements), None)
     holds = missing is None
     central = (1, Quaternion(1)) in elements
@@ -241,7 +238,7 @@ def check_pure_quaternion_subrootsystem(
             "pure-quaternion property and central inversion disagree "
             f"for {rs.group}: holds={holds}, central={central}")
     return PureQuaternionCheck(holds, central,
-                               -I if holds else missing[1].to_spinor())
+                               (1, Quaternion(-1)) if holds else missing)
 
 
 def induce_rank4(ss: VersorGroup) -> RootSystem:
@@ -280,7 +277,7 @@ def quaternion_reflection_equivalence(v: Multivector, a: Multivector) -> bool:
     if not v.is_vector() or not a.is_vector():
         raise ValueError("expected pure vectors")
     left = Quaternion.from_spinor(reflect(v, a).dual())
-    x = Quaternion.from_spinor(_unit(a).dual())
+    x = _dual(a.components[1:4])
     vq = Quaternion.from_spinor(v.dual())
     right = -(x * vq.conjugate() * x)
     return left == right

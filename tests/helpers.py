@@ -53,11 +53,16 @@ def geometric_product_oracle(x: Multivector, y: Multivector) -> Multivector:
     return Multivector(out)
 
 
+def multivector(pair) -> Multivector:
+    """A (parity, quaternion) pair as a Multivector, built through
+    ``quaternion.versor_blades``."""
+    parity, q = pair
+    return Multivector(versor_blades(parity, q.components))
+
+
 def multivectors(vg) -> tuple[Multivector, ...]:
-    """The (parity, quaternion) elements of a versor group as Multivectors,
-    in the group's order, built through ``quaternion.versor_blades``."""
-    return tuple(Multivector(versor_blades(parity, q.components))
-                 for parity, q in vg.elements)
+    """The elements of a versor group as Multivectors, in its order."""
+    return tuple(map(multivector, vg.elements))
 
 
 def rand_fraction(rng, bound: int = 9) -> Fraction:

@@ -488,6 +488,33 @@ def test_verify_reflects_the_old_orbit_in_the_new_generator_only(
     assert counts == {"b3": (5, 240, 240), "h3": (4, 480, 480)}
 
 
+def test_verify_inverts_each_pivot_once(pipelines, monkeypatch):
+    # axiom 1 scales each root by the inverse of its first nonzero entry;
+    # H4's 120 roots have 8 distinct pivots, so one verification takes
+    # fewer than 20 field inverses (one per root takes 120)
+    calls = []
+    original = FieldScalar.inverse
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(FieldScalar, "inverse", counted)
+    rank4 = pipelines["h3"].rank4
+    assert verify_root_system(RootSystem("H4", 4, rank4.roots)).passed
+    assert len(calls) < 20
+    # each pivot keeps its own inverse: twice a root is caught whatever its
+    # pivot, after the other pivots' inverses are kept
+    by_pivot = {next(v for v in r if v): r for r in rank4.roots}
+    assert len(by_pivot) == 8
+    for beta in by_pivot.values():
+        two = tuple(v + v for v in beta)
+        cert = verify_root_system(
+            RootSystem("H4", 4, rank4.roots + (two, negate(two))))
+        assert (cert.axiom, cert.message) == \
+            (1, "scalar multiple beyond +-root present")
+
+
 def test_rotation_order_agrees_with_matrix_powering(closures):
     # every pair of roots of the four closures and of H3 turned by
     # (1, -2, 4, 5): the table's order of s_a s_b equals its matrix order

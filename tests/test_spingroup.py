@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (induced_matrix, mat_det3, mat_identity, mat_mul,
-                     matrix_census, multivectors, plain_closure,
-                     quaternion_coords,
+                     matrix_census, multivector, multivectors,
+                     plain_closure, quaternion_coords,
                      rand_nonzero_scalar, rand_sparse_scalar, rand_vector_mv,
                      turn)
 from spinroots import clifford, spingroup
@@ -238,7 +238,8 @@ def test_census_matches_matrix_oracle(versor_groups):
 def test_census_of_a_group_without_minus_one():
     # {1, e1} is the reflection group of order 2: no -1, so nothing halves
     # the even element first, then the odd
-    vg = spingroup.VersorGroup("t", spingroup._mulclose({E1}, cap=4))
+    vg = spingroup.VersorGroup("t", spingroup._mulclose(
+        map(versor_pair, {E1}), cap=4))
     assert vg.elements == (versor_pair(ONE), versor_pair(E1))
     census = classify_versors(vg)
     assert census.to_json() == matrix_census(multivectors(vg))
@@ -272,13 +273,13 @@ def test_pure_quaternion_biconditional_pattern(pipelines):
 def test_pure_quaternion_witnesses(pipelines):
     # when the property holds the witness realizes -identity
     for g in ("a1x3", "b3", "h3"):
-        w = pipelines[g].pure.witness
+        w = multivector(pipelines[g].pure.witness)
         assert w in (I, -I)
         assert induced_matrix(w) == tuple(
             tuple(-_ONE if i == j else FieldScalar(0) for j in range(3))
             for i in range(3))
     # when it fails the witness is a dual root outside the spinor set
-    w = pipelines["a3"].pure.witness
+    w = multivector(pipelines["a3"].pure.witness)
     assert w.grades() == {2}
     assert w not in set(multivectors(pipelines["a3"].spinors))
 
@@ -352,16 +353,17 @@ def test_quaternion_reflection_equivalence_errors():
 
 
 def test_unit_normalizes_vectors():
-    assert spingroup._unit(vector(3, 4, 0)) == \
-        vector(Fraction(3, 5), Fraction(4, 5), 0)
-    assert spingroup._unit(vector(0, 0, -1)) == vector(0, 0, -1)
-    assert spingroup._unit(vector(1, 1, 0)) == \
-        vector(*[FieldScalar(0, Fraction(1, 2))] * 2, 0)
+    # _dual normalizes a root tuple and returns the pure quaternion (0, a)
+    assert spingroup._dual((3, 4, 0)) == \
+        Quaternion(0, Fraction(3, 5), Fraction(4, 5), 0)
+    assert spingroup._dual((0, 0, -1)) == Quaternion(0, 0, 0, -1)
+    assert spingroup._dual((1, 1, 0)) == \
+        Quaternion(0, *[FieldScalar(0, Fraction(1, 2))] * 2, 0)
     with pytest.raises(ValueError, match="leaves the field"):
-        spingroup._unit(vector(1, 1, 1))
+        spingroup._dual((1, 1, 1))
     with pytest.raises(ValueError,
                        match="the zero vector cannot be normalized"):
-        spingroup._unit(vector(0, 0, 0))
+        spingroup._dual((0, 0, 0))
 
 
 def test_closure_multiplies_each_element_by_each_generator_once(
@@ -420,8 +422,13 @@ def test_generator_matrix_is_left_multiplication():
             tuple(sign * y for y in product)
 
 
+def _unit_vector(root) -> Multivector:
+    """The unit vector along ``root``, read off its dual quaternion."""
+    return vector(*spingroup._dual(root).components[1:])
+
+
 def _two_generator_seed(simple):
-    v1, v2, v3 = (spingroup._unit(vector(*r)) for r in simple.roots)
+    v1, v2, v3 = map(_unit_vector, simple.roots)
     r1, r2 = v1 * v2, v2 * v3
     return {r1, r2, r1.reverse(), r2.reverse()}
 
@@ -434,21 +441,33 @@ def _documented_order(versors):
                                         versor_blades(0, pq[1].components))))
 
 
-def test_mulclose_equals_plain_closure(closures):
+def test_mulclose_equals_plain_closure(closures, monkeypatch):
     # element for element and in the documented order, on the versor seeds
-    # and the two-generator seeds of the presets and of turned H3
+    # and the two-generator seeds of the presets and of turned H3; the
+    # closures read these seeds' pairs off the roots' duals
+    mulclose, seeds = spingroup._mulclose, []
+
+    def recorded(seed, cap):
+        seeds.append(list(seed))
+        return mulclose(seeds[-1], cap)
+
+    monkeypatch.setattr(spingroup, "_mulclose", recorded)
     turned, turned_rs = _turned_h3()
     cases = [(closures[g], simple_roots(g)) for g in EXPECTED_SPINORS]
     cases.append((turned_rs, turned))
     for rs, simple in cases:
-        versor_seed = {spingroup._unit(vector(*r)) for r in rs.roots}
-        for seed in (versor_seed, _two_generator_seed(simple)):
-            assert spingroup._mulclose(seed, cap=1000) == \
+        versor_seed = set(map(_unit_vector, rs.roots))
+        two_seed = _two_generator_seed(simple)
+        for seed in (versor_seed, two_seed):
+            assert mulclose(map(versor_pair, seed), cap=1000) == \
                 _documented_order(plain_closure(seed))
+        seeds.clear()
+        generate_versor_group(rs)
+        generate_from_two(simple)
+        assert [set(s) for s in seeds] == [set(map(versor_pair, versor_seed)),
+                                           set(map(versor_pair, two_seed))]
     with pytest.raises(CapExceeded):
         generate_versor_group(turned_rs, cap=50)
-    with pytest.raises(ValueError, match="pure even or pure odd"):
-        spingroup._mulclose({ONE + E1}, cap=10)
 
 
 def test_closure_cap():
@@ -509,7 +528,7 @@ def test_pure_check_takes_no_geometric_product(pipelines, monkeypatch):
                                                     res.versors)
         assert check == res.pure
         if g != "a3":
-            assert check.witness == -I
+            assert multivector(check.witness) == -I
     assert products == []
 
 
@@ -535,19 +554,33 @@ def test_run_pipeline_rejects_a_closure_that_is_no_root_system():
 
 
 def test_pipeline_maps_only_the_two_generator_seeds(monkeypatch):
-    # the closures hand back (parity, quaternion) pairs, so the spinor map
-    # is left only for the four even seeds of each two-generator closure
-    calls = []
-    original = Quaternion.from_spinor.__func__
+    # the roots enter the closures as their dual quaternions, and the
+    # closures hand back (parity, quaternion) pairs, so a pass builds no
+    # Multivector, takes no geometric product and leaves the spinor map
+    calls = Counter()
+    init, mul = Multivector.__init__, Multivector.__mul__
+    from_spinor = Quaternion.from_spinor.__func__
 
-    def counted(cls, mv):
-        calls.append(1)
-        return original(cls, mv)
+    def counted_init(self, components):
+        calls["init"] += 1
+        init(self, components)
 
-    monkeypatch.setattr(Quaternion, "from_spinor", classmethod(counted))
+    def counted_mul(a, b):
+        calls["product"] += isinstance(b, Multivector)
+        return mul(a, b)
+
+    def counted_from_spinor(cls, mv):
+        calls["from_spinor"] += 1
+        return from_spinor(cls, mv)
+
+    monkeypatch.setattr(Multivector, "__init__", counted_init)
+    monkeypatch.setattr(Multivector, "__mul__", counted_mul)
+    monkeypatch.setattr(Quaternion, "from_spinor",
+                        classmethod(counted_from_spinor))
     for g in GROUPS:
         spingroup.run_pipeline(simple_roots(g))
-    assert len(calls) <= 16
+    assert calls == Counter()
+    assert ONE * E1 == E1 and calls == Counter(init=1, product=1)
 
 
 def test_export_json(pipelines):
