@@ -83,11 +83,6 @@ class Multivector:
                 out[k] = out[k] + x * y if sign > 0 else out[k] - x * y
         return Multivector(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (FieldScalar, *RATIONAL_TYPES)):
-            return Multivector(tuple(other * x for x in self.components))
-        return NotImplemented
-
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented

@@ -23,15 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactfield import (SIGMA, TAU, FieldScalar, apply, exact_sorted,
-                         from_ints, linear_map, to_ints)
+from .exactfield import (ONE, SIGMA, TAU, ZERO, FieldScalar, apply,
+                         exact_sorted, from_ints, linear_map, to_ints)
 
 Root = tuple[FieldScalar, ...]
 
 GROUPS = ("a1x3", "a3", "b3", "h3")
 
-_ZERO = FieldScalar(0)
-_ONE = FieldScalar(1)
 _S = FieldScalar(0, Fraction(1, 2))  # 1/sqrt2
 _HALF = Fraction(1, 2)
 
@@ -106,7 +104,7 @@ def simple_roots(group: str) -> SimpleRoots:
 def dot(x: Root, y: Root) -> FieldScalar:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    acc = _ZERO
+    acc = ZERO
     for a, b in zip(x, y):
         if a and b:
             acc = acc + a * b
@@ -136,7 +134,7 @@ def _reflection(alpha: Root):
     """s_alpha as an integer matrix (``exactfield.linear_map``): block
     (r, i) is delta_ri - c_r alpha_i, with c = 2 alpha/(alpha|alpha)."""
     minus_c = [-x for x in _reflection_scale(alpha)]
-    return linear_map([[(_ONE if r == i else _ZERO) + cr * a
+    return linear_map([[(ONE if r == i else ZERO) + cr * a
                         for i, a in enumerate(alpha)]
                        for r, cr in enumerate(minus_c)])
 
@@ -213,7 +211,7 @@ class Certificate:
 def _direction(x: Root, inverses: dict) -> Root:
     """x != 0 scaled so its first nonzero entry is 1, by a cached inverse."""
     pivot = next(v for v in x if v)
-    if pivot == _ONE:
+    if pivot == ONE:
         return x
     inv = inverses.get(pivot)
     if inv is None:
@@ -278,15 +276,15 @@ def verify_root_system(rs: RootSystem) -> Certificate:
 # cos^2 theta -> order n of the rotation through 2 theta, theta = pi k / n
 _QUARTER = Fraction(1, 4)
 _ROTATION_ORDER = {
-    _ONE: 1,                                # theta = 0
-    _ZERO: 2,                               # pi/2
+    ONE: 1,                                 # theta = 0
+    ZERO: 2,                                # pi/2
     FieldScalar(_QUARTER): 3,               # pi/3
     FieldScalar(_HALF): 4,                  # pi/4
     TAU * TAU * _QUARTER: 5,                # pi/5
     SIGMA * SIGMA * _QUARTER: 5,            # 2pi/5
     FieldScalar(3 * _QUARTER): 6,           # pi/6
-    (_ONE + _S) * _HALF: 8,                 # pi/8
-    (_ONE - _S) * _HALF: 8,                 # 3pi/8
+    (ONE + _S) * _HALF: 8,                  # pi/8
+    (ONE - _S) * _HALF: 8,                  # 3pi/8
     (FieldScalar(2) + TAU) * _QUARTER: 10,  # pi/10
     (FieldScalar(2) + SIGMA) * _QUARTER: 10,  # 3pi/10
 }

@@ -149,12 +149,6 @@ class FieldScalar:
         return _make(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
                      c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         a, b, c, d, den = self._v
         return _make(-a, -b, -c, -d, den)

@@ -1,8 +1,12 @@
 """Quaternions over FieldScalar and the discrete unit-quaternion groups.
 
-The Hamilton product follows e_i e_j = -delta_ij + eps_ijk e_k, and
-``catalog`` returns the literal Lipschitz, Hurwitz, dual-Hurwitz and
-icosian sets.  This module owns the versor layout of Cl(3).
+The Hamilton product follows e_i e_j = -delta_ij + eps_ijk e_k.
+``catalog`` returns the literature's unit sets, each every sign change of
+every (for the icosians, every even) permutation of a base vector (Conway
+& Smith, *On Quaternions and Octonions*, ch. 3-4): the 8 Lipschitz units
+(1, 0, 0, 0); the 24 Hurwitz units, those and (1, 1, 1, 1)/2; the 24
+duals (1, 1, 0, 0)/sqrt2; the 120 icosians, the Hurwitz units and
+(0, tau, 1, sigma)/2.  This module owns the versor layout of Cl(3).
 ``from_spinor`` carries even multivectors to quadruples componentwise,
 the (a; b, c, d) notation for the even subalgebra; it reverses products,
 from_spinor(A*B) = from_spinor(B) * from_spinor(A), and composed with
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from . import clifford
 from .exactfield import ONE, RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
@@ -65,11 +69,6 @@ class Quaternion:
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (FieldScalar, *RATIONAL_TYPES)):
-            return Quaternion(*(other * x for x in self.components))
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Quaternion):
@@ -164,72 +163,27 @@ def apply_pq(x: Quaternion, p: Quaternion, q: Quaternion,
     return p * x * q
 
 
-def _even_permutations():
-    perms = []
-    for perm in permutations(range(4)):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
-                         if perm[i] > perm[j])
-        if inversions % 2 == 0:
-            perms.append(perm)
-    return perms
+_ALL = tuple(permutations(range(4)))
+_EVEN = tuple(p for p in _ALL
+              if sum(i > j for i, j in combinations(p, 2)) % 2 == 0)
+_HALF = FieldScalar(Fraction(1, 2))
+_HALF_SQRT2 = FieldScalar(0, Fraction(1, 2))
 
 
-_EVEN_PERMS = _even_permutations()
-_HALF = Fraction(1, 2)
-_HALF_SQRT2 = FieldScalar(0, _HALF)
+def _units(base, perms) -> frozenset[Quaternion]:
+    """Every sign change of the nonzero entries of each distinct
+    arrangement (base[p0], ..., base[p3]) of ``base``, p in ``perms``."""
+    arrangements = {tuple(base[i] for i in p) for p in perms}
+    return frozenset(Quaternion(*q) for comps in arrangements
+                     for q in product(*((c, -c) if c else (c,)
+                                        for c in comps)))
 
 
-def _signed(values):
-    """All sign choices over the nonzero entries of a component pattern."""
-    out = set()
-    idx = [i for i, v in enumerate(values) if v]
-    for signs in product((1, -1), repeat=len(idx)):
-        comps = list(values)
-        for i, s in zip(idx, signs):
-            comps[i] = comps[i] * s
-        out.add(Quaternion(*comps))
-    return out
-
-
-def _lipschitz():
-    units = set()
-    for pos in range(4):
-        comps = [FieldScalar(0)] * 4
-        comps[pos] = FieldScalar(1)
-        units |= _signed(comps)
-    return units
-
-
-def _hurwitz():
-    return _lipschitz() | _signed([FieldScalar(_HALF)] * 4)
-
-
-def _hurwitz_duals():
-    units = set()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            comps = [FieldScalar(0)] * 4
-            comps[i] = _HALF_SQRT2
-            comps[j] = _HALF_SQRT2
-            units |= _signed(comps)
-    return units
-
-
-def _icosians():
-    # 96 golden units: even coordinate permutations of (0, tau, 1, sigma)/2,
-    # all signs.  The 1/2 makes them unit quaternions.
-    base = (FieldScalar(0), TAU * _HALF, FieldScalar(_HALF), SIGMA * _HALF)
-    units = set()
-    for perm in _EVEN_PERMS:
-        units |= _signed([base[p] for p in perm])
-    return _hurwitz() | units
-
-
-_CATALOGS = {
-    "lipschitz": _lipschitz,
-    "hurwitz": _hurwitz,
-    "hurwitz_duals": _hurwitz_duals,
-    "icosians": _icosians,
+_CATALOGS = {  # name: (the set it extends, base vector, permutations)
+    "lipschitz": (None, (ONE, ZERO, ZERO, ZERO), _ALL),
+    "hurwitz": ("lipschitz", (_HALF,) * 4, _ALL),
+    "hurwitz_duals": (None, (_HALF_SQRT2, _HALF_SQRT2, ZERO, ZERO), _ALL),
+    "icosians": ("hurwitz", (ZERO, TAU * _HALF, _HALF, SIGMA * _HALF), _EVEN),
 }
 
 
@@ -237,8 +191,9 @@ _CATALOGS = {
 def catalog(name: str) -> frozenset[Quaternion]:
     """One of the literal unit-quaternion sets by name."""
     try:
-        builder = _CATALOGS[name]
+        extends, base, perms = _CATALOGS[name]
     except KeyError:
         raise ValueError(f"unknown catalog {name!r}; "
                          f"choose from {sorted(_CATALOGS)}") from None
-    return frozenset(builder())
+    units = _units(base, perms)
+    return catalog(extends) | units if extends else units

@@ -24,7 +24,7 @@ needs no matrices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .clifford import Multivector, reflect
 from .coxeter import (RootSystem, SimpleRoots, accrete, dot, orbit_closure,
@@ -40,6 +40,8 @@ BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
 
 def _dual(root) -> Quaternion:
     """(0, a) for the unit root a along ``root``: the quaternion of I a."""
+    if len(root) != 3:
+        raise ValueError(f"a root in R^3 has 3 components, not {len(root)}")
     m2 = dot(root, root)
     if not m2:
         raise ValueError("the zero vector cannot be normalized")
@@ -156,16 +158,8 @@ class VersorCensus:
     central_inversion: bool
 
     def to_json(self) -> dict:
-        return {
-            "transformations": self.transformations,
-            "identity": self.identity,
-            "rotations": {str(k): v for k, v in sorted(self.rotations.items())},
-            "reflections": self.reflections,
-            "rotoinversions": self.rotoinversions,
-            "even": self.even,
-            "odd": self.odd,
-            "central_inversion": self.central_inversion,
-        }
+        return {**asdict(self), "rotations": {
+            str(k): v for k, v in sorted(self.rotations.items())}}
 
 
 def classify_versors(vg: VersorGroup) -> VersorCensus:

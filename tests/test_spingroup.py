@@ -104,8 +104,12 @@ def test_generate_from_two_matches_full(spinor_sets):
 
 def test_generate_from_two_needs_three_roots():
     from spinroots.coxeter import SimpleRoots
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly three"):
         generate_from_two(SimpleRoots("x", ((_ONE, _ONE),)))
+    e1_e2_e3 = tuple(tuple(_ONE if i == j else _ZERO for j in range(4))
+                     for i in range(3))  # in R^4
+    with pytest.raises(ValueError, match="3 components"):
+        generate_from_two(SimpleRoots("x", e1_e2_e3))
 
 
 def test_generate_rotors_preconditions(closures):
