@@ -123,12 +123,13 @@ def build_report(presets: dict | None = None) -> dict:
             rows.append({"group": group, "error": str(exc),
                          "failed_cells": [f"{group}.pipeline"]})
             continue
+        name = spingroup.catalog_match(res.spinors)
         row = {
             "group": group,
             "roots": len(res.root_system),
             "order": res.order,
             "spinors": len(res.spinors),
-            "binary": res.binary_name or "unknown",
+            "binary": spingroup.BINARY_NAME.get(name, "unknown"),
             "rank4": res.rank4.group,
             "rank4_roots": len(res.rank4),
             "pure_quat": res.pure.holds,

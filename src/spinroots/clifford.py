@@ -60,8 +60,7 @@ class Multivector:
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(tuple(x - y for x, y in
-                                 zip(self.components, other.components)))
+        return self + -other
 
     def __neg__(self):
         return Multivector(tuple(-x for x in self.components))

@@ -14,8 +14,8 @@ n^2.  Axiom 1 keys each root by its direction, scaled so its first nonzero
 entry is 1.  ``accrete`` is the one closure, of the orbit, of axiom 2
 and of ``spingroup``'s versors: a seed closed under generators taken from
 it.  Roots are closed on integer keys (``exactfield.to_ints``): s_alpha
-is the integer matrix of 1 - c alpha^T, c = 2 alpha/(alpha|alpha)
-(``exactfield.linear_map``), applied by the shared ``exactfield.apply``.
+is the integer matrix that ``exactfield.linear_map`` reads off the
+reflection formula, applied by the shared ``exactfield.apply``.
 """
 
 from __future__ import annotations
@@ -124,19 +124,25 @@ def _reflection_scale(alpha: Root) -> Root:
     return tuple((a + a) * inv for a in alpha)
 
 
+def _reflector(alpha: Root):
+    """lam -> s_alpha(lam) = lam - (lam|alpha) c, with c taken once."""
+    c = _reflection_scale(alpha)
+
+    def reflect(lam: Root) -> Root:
+        t = -dot(lam, alpha)
+        return tuple(l + t * w for l, w in zip(lam, c))
+    return reflect
+
+
 def reflect_root(lam: Root, alpha: Root) -> Root:
     """s_alpha(lam) = lam - 2 (lam|alpha)/(alpha|alpha) alpha."""
-    t = dot(lam, alpha)
-    return tuple(l - t * w for l, w in zip(lam, _reflection_scale(alpha)))
+    return _reflector(alpha)(lam)
 
 
 def _reflection(alpha: Root):
-    """s_alpha as an integer matrix (``exactfield.linear_map``): block
-    (r, i) is delta_ri - c_r alpha_i, with c = 2 alpha/(alpha|alpha)."""
-    minus_c = [-x for x in _reflection_scale(alpha)]
-    return linear_map([[(ONE if r == i else ZERO) + cr * a
-                        for i, a in enumerate(alpha)]
-                       for r, cr in enumerate(minus_c)])
+    """s_alpha as an integer matrix (``exactfield.linear_map``), read off
+    ``_reflector``'s images of the unit vectors."""
+    return linear_map(_reflector(alpha), len(alpha))
 
 
 def _rank(roots) -> int:
@@ -171,16 +177,11 @@ class RootSystem:
 
     @classmethod
     def from_json(cls, data) -> RootSystem:
-        """Load the roots and verify them.  Neither the input's flag nor its
-        rank is trusted: the rank is the roots' common length, and a stated
-        rank that disagrees, or roots of mixed lengths, raise ValueError."""
+        """Load the roots and verify them (``verify_root_system``), so the
+        input's flag is not trusted and its rank is checked."""
         roots = tuple(tuple(FieldScalar.from_json(c) for c in r)
                       for r in data["roots"])
-        rank = _rank(roots)
-        if data["rank"] != rank:
-            raise ValueError(f"stated rank {data['rank']!r} disagrees with "
-                             f"roots of length {rank}")
-        rs = cls(data["group"], rank, roots)
+        rs = cls(data["group"], data["rank"], roots)
         verify_root_system(rs)
         return rs
 
@@ -235,12 +236,15 @@ def verify_root_system(rs: RootSystem) -> Certificate:
     into itself: axiom 2 holds, with O(n |G|) reflections.  An escaped
     image joins the whole set in the closure, so the cap is crossed
     exactly when axiom 2 fails; only then are the roots scanned for a
-    witness (alpha, lam).  Roots of several lengths raise ValueError.
+    witness (alpha, lam).  No roots, roots of several lengths, or a stated
+    rank other than their length raise ValueError.
     """
     rs.verified = False
     roots = rs.roots
-    if roots:
-        _rank(roots)
+    rank = _rank(roots)
+    if rs.rank != rank:
+        raise ValueError(f"stated rank {rs.rank!r} disagrees with "
+                         f"roots of length {rank}")
     root_of = {to_ints(beta): beta for beta in roots}
     for (ints, den), alpha in root_of.items():
         if not any(ints):

@@ -15,9 +15,9 @@ those of the tuple.  The sign is decided exactly by integer comparisons,
 and square roots are taken down the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2)
 in field arithmetic.  ``Fraction`` appears only at the edges: the
 constructor, the ``a``-``d`` components, JSON and display.  A
-field-linear map is a sparse integer matrix on these coordinates
-(``linear_map``), and ``apply`` is the kernel of every closure, of
-reflections and of versor products.
+field-linear map is a sparse integer matrix on these coordinates, read
+off its images of the unit vectors (``linear_map``), and ``apply`` is the
+kernel of every closure, of reflections and of versor products.
 """
 
 from __future__ import annotations
@@ -139,17 +139,11 @@ class FieldScalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        v1, v2 = self._v, other._v
-        if v2 == _ZERO_V:
-            return self
-        a1, b1, c1, d1, n1 = v1
-        a2, b2, c2, d2, n2 = v2
-        if n1 == n2:
-            return _make(a1 - a2, b1 - b2, c1 - c2, d1 - d2, n1)
-        return _make(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
-                     c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
+        return self + -other
 
     def __neg__(self):
+        if self._v == _ZERO_V:
+            return self
         a, b, c, d, den = self._v
         return _make(-a, -b, -c, -d, den)
 
@@ -380,20 +374,24 @@ def from_ints(ints, den: int) -> tuple[FieldScalar, ...]:
     return tuple(_make(*ints[i:i + 4], den) for i in range(0, len(ints), 4))
 
 
-def linear_map(grid):
-    """x -> A x for an n x n grid A of FieldScalars, as a sparse integer
+def linear_map(f, n: int):
+    """A field-linear map f of n-tuples of FieldScalars as a sparse integer
     matrix on the 4 n coordinates of x (``to_ints``) over one denominator:
     column 4 i + j lists the (row, entry) pairs of the image of coordinate
-    j of x_i.  Indexed by bits, basis elements m and j of 1, sqrt2, sqrt5,
-    sqrt10 multiply to element m ^ j times the square of element m & j."""
-    den = lcm(*[x._v[4] for row in grid for x in row])
-    cols = [[] for _ in range(4 * len(grid))]
-    for r, row in enumerate(grid):
-        for i, x in enumerate(row):
-            *parts, n = x._v
+    j of x_i.  Column block i is read off f(e_i), the image of the unit
+    vector e_i, so f is evaluated n times.  Indexed by bits, basis
+    elements m and j of 1, sqrt2, sqrt5, sqrt10 multiply to element m ^ j
+    times the square of element m & j."""
+    images = [f(tuple(ONE if k == i else ZERO for k in range(n)))
+              for i in range(n)]
+    den = lcm(*[x._v[4] for image in images for x in image])
+    cols = [[] for _ in range(4 * n)]
+    for i, image in enumerate(images):
+        for r, x in enumerate(image):
+            *parts, d = x._v
             for m, p in enumerate(parts):
                 if p:
-                    p *= den // n
+                    p *= den // d
                     for j in range(4):
                         cols[4 * i + j].append(
                             (4 * r + (m ^ j), p * (1, 2, 5, 10)[m & j]))

@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import clifford
+from .coxeter import dot
 from .exactfield import ONE, RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
 
 
@@ -50,8 +51,7 @@ class Quaternion:
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(*(x - y for x, y in
-                            zip(self.components, other.components)))
+        return self + -other
 
     def __neg__(self):
         return Quaternion(*(-x for x in self.components))
@@ -87,12 +87,11 @@ class Quaternion:
         return Quaternion(q0, -q1, -q2, -q3)
 
     def norm_sq(self) -> FieldScalar:
-        return sum((x * x for x in self.components if x), ZERO)
+        return dot(self.components, self.components)
 
     def inner(self, other: Quaternion) -> FieldScalar:
         """(p, q) = (conj(p) q + p conj(q)) / 2, the Euclidean 4D dot."""
-        return sum((x * y for x, y in zip(self.components, other.components)
-                    if x and y), ZERO)
+        return dot(self.components, other.components)
 
     def is_pure(self) -> bool:
         return not self.components[0]

@@ -12,13 +12,13 @@ q the quaternion of R, from the roots, read as the pure quaternions of
 their duals (``_dual``), to the output, so no Multivector is built.  The
 closure holds q as 16 integer coordinates over one denominator
 (``exactfield.to_ints``).  Left multiplication by a generator is the
-sparse integer matrix of its Hamilton grid (``exactfield.linear_map``), so
-a step is one sparse product and one gcd, the kernel that reflections
-share (``exactfield.apply``), in the closure that the orbit of roots
-shares (``coxeter.accrete``); the result is sorted once.  A unit versor's
-transformation is fixed by the rotation of R, whose order follows from its
-scalar part q0 = cos theta (``coxeter.rotation_order``), so the census
-needs no matrices.
+sparse integer matrix that ``exactfield.linear_map`` reads off the
+Hamilton product, so a step is one sparse product and one gcd, the kernel
+that reflections share (``exactfield.apply``), in the closure that the
+orbit of roots shares (``coxeter.accrete``); the result is sorted once.
+A unit versor's transformation is fixed by the rotation of R, whose order
+follows from its scalar part q0 = cos theta (``coxeter.rotation_order``),
+so the census needs no matrices.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ def _dual(root) -> Quaternion:
 
 
 def _generator(parity: int, q: Quaternion):
-    """(parity, cols, den): left multiplication by q, the integer matrix
-    (``exactfield.linear_map``) of its Hamilton grid: row k gives (q p)_k."""
-    a0, a1, a2, a3 = q.components
-    return parity, *linear_map(((a0, -a1, -a2, -a3), (a1, a0, -a3, a2),
-                                (a2, a3, a0, -a1), (a3, -a2, a1, a0)))
+    """(parity, cols, den): left multiplication p -> q p as an integer
+    matrix, read off ``Quaternion.__mul__`` (``exactfield.linear_map``)."""
+    return parity, *linear_map(lambda p: (q * Quaternion(*p)).components, 4)
 
 
 def _step(gen, elem):
@@ -171,13 +169,13 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
     for either parity.  An even versor with w^2 = 1 is the identity, and
     otherwise a rotation of order ``rotation_order(w^2)``.  An odd versor
     v = I R acts as minus the rotation of R: with w = 0 that rotation is a
-    half-turn and v a pure reflection; with w^2 = 1, v = +-I is the central
-    inversion, which counts among the rotoinversions; any other odd versor
-    is a rotoinversion.
+    half-turn and v a pure reflection; any other odd versor is a
+    rotoinversion, among them v = +-I, the central inversion.  The group
+    holds -I exactly when it holds I = (1, 1), since (-I)^2 = -1 and
+    (-1)(-I) = I, so the census looks up I as the pure check does.
     """
     n_identity = reflections = rotoinversions = even = odd = 0
     rotations: Counter = Counter()
-    central = False
     for parity, q in vg.elements:
         w = q.components[0]
         if parity:
@@ -186,7 +184,6 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
                 reflections += 1
             else:
                 rotoinversions += 1
-                central = central or w * w == ONE
         else:
             even += 1
             w2 = w * w
@@ -198,7 +195,7 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
     return VersorCensus(len(vg) // k, n_identity // k,
                         {n: m // k for n, m in rotations.items()},
                         reflections // k, rotoinversions // k,
-                        even // k, odd // k, central)
+                        even // k, odd // k, (1, Quaternion(1)) in vg.elements)
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,6 @@ class PipelineResult:
     group: str
     root_system: RootSystem
     spinors: VersorGroup
-    catalog_name: str | None
     versors: VersorGroup
     census: VersorCensus
     pure: PureQuaternionCheck
@@ -295,10 +291,6 @@ class PipelineResult:
     @property
     def order(self) -> int:
         return self.census.transformations
-
-    @property
-    def binary_name(self) -> str | None:
-        return BINARY_NAME.get(self.catalog_name)
 
 
 def run_pipeline(simple: SimpleRoots) -> PipelineResult:
@@ -318,7 +310,6 @@ def run_pipeline(simple: SimpleRoots) -> PipelineResult:
         group=simple.group,
         root_system=rs,
         spinors=ss,
-        catalog_name=catalog_match(ss),
         versors=vg,
         census=census,
         pure=pure,

@@ -258,12 +258,14 @@ def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
         return wrapper
 
     for name in ("run_pipeline", "generate_versor_group",
-                 "generate_from_two"):
+                 "generate_from_two", "catalog_match"):
         monkeypatch.setattr(spingroup, name, counted(name))
     path = tmp_path / "out.json"
     code, out = run(capsys, *argv, "--json", str(path))
+    # only the spinors command names a catalog, once, for the set it prints
+    matches = {"catalog_match": 1} if argv[0] == "spinors" else {}
     assert calls == {"run_pipeline": 1, "generate_versor_group": 1,
-                     "generate_from_two": 1}
+                     "generate_from_two": 1, **matches}
     assert (code, out) == (plain_code, plain_out)
     want = json.dumps(spingroup.export_json(pipelines["a3"]), indent=2,
                       sort_keys=True) + "\n"

@@ -286,6 +286,21 @@ def test_roots_of_mixed_length_are_rejected():
         orbit_closure(SimpleRoots("mixed", (mixed[0], mixed[2])))
 
 
+def test_verify_checks_the_stated_rank():
+    # +-e1 of R^3 stated as rank 4, and an empty root set, are no verified
+    # root systems: verification raises and leaves the flag unset
+    e1 = _r(1, 0, 0)
+    for rs, message in (
+            (RootSystem("x", 4, (e1, negate(e1))),
+             "stated rank 4 disagrees with roots of length 3"),
+            (RootSystem("x", 3, ()), "roots must share one length")):
+        rs.verified = True
+        with pytest.raises(ValueError, match=message):
+            verify_root_system(rs)
+        assert rs.verified is False
+    assert verify_root_system(RootSystem("x", 3, (e1, negate(e1)))).passed
+
+
 def test_cartan_matrix_rejects_a_zero_root():
     zero = SimpleRoots("zero", (_r(1, 0, 0), _r(0, 0, 0)))
     with pytest.raises(ValueError, match="zero vector"):

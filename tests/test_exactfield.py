@@ -211,25 +211,51 @@ def test_integer_coordinates_round_trip():
     assert from_ints((3, 0, 6, 0), 6) == (FieldScalar(Fraction(1, 2), 0, 1),)
 
 
-def test_linear_map_is_the_field_product():
-    # the integer matrix of a grid A applied to the coordinates of x gives
-    # those of A x, over a reduced positive denominator; a negative matrix
-    # denominator negates the image
-    rng = random.Random(41)
+def _grid_map(grid):
+    """x -> A x for an n x n grid A of FieldScalars."""
+    return lambda x: tuple(sum((a * y for a, y in zip(row, x)), ZERO)
+                           for row in grid)
+
+
+def _random_grids(seed):
+    rng = random.Random(seed)
     for n in (1, 3, 4):
-        for trial in range(30):
-            grid = [[rand_scalar(rng) if rng.random() < 0.6 else ZERO
-                     for _ in range(n)] for _ in range(n)]
-            x = tuple(rand_scalar(rng) for _ in range(n))
-            want = tuple(sum((a * y for a, y in zip(row, x)), ZERO)
-                         for row in grid)
-            cols, den = linear_map(grid)
-            assert len(cols) == 4 * n and den > 0
-            ints, d = apply((cols, den), to_ints(x))
-            assert d > 0 and math.gcd(*ints, d) == 1
-            assert from_ints(ints, d) == want
-            assert apply((cols, -den), to_ints(x)) == \
-                to_ints(tuple(-y for y in want))
+        for _ in range(30):
+            yield rng, n, [[rand_scalar(rng) if rng.random() < 0.6 else ZERO
+                            for _ in range(n)] for _ in range(n)]
+
+
+def test_linear_map_is_the_field_product():
+    # the integer matrix of a map x -> A x applied to the coordinates of x
+    # gives those of A x, over a reduced positive denominator; a negative
+    # matrix denominator negates the image
+    for rng, n, grid in _random_grids(41):
+        x = tuple(rand_scalar(rng) for _ in range(n))
+        want = _grid_map(grid)(x)
+        cols, den = linear_map(_grid_map(grid), n)
+        assert len(cols) == 4 * n and den > 0
+        ints, d = apply((cols, den), to_ints(x))
+        assert d > 0 and math.gcd(*ints, d) == 1
+        assert from_ints(ints, d) == want
+        assert apply((cols, -den), to_ints(x)) == \
+            to_ints(tuple(-y for y in want))
+
+
+def test_linear_map_columns_are_the_images_of_the_basis_keys():
+    # column k is f of the k-th of the 4 n basis keys (coordinate 1 at k,
+    # the rest 0), built through from_ints and the field product and read
+    # back through to_ints: this checks the bit expansion of the basis
+    # products 1, sqrt2, sqrt5, sqrt10 against FieldScalar.__mul__
+    for _, n, grid in _random_grids(43):
+        f = _grid_map(grid)
+        cols, den = linear_map(f, n)
+        for k, col in enumerate(cols):
+            basis = tuple(int(i == k) for i in range(4 * n))
+            ints, d = to_ints(f(from_ints(basis, 1)))
+            dense = [Fraction(0)] * (4 * n)
+            for row, v in col:
+                dense[row] += Fraction(v, den)
+            assert dense == [Fraction(i, d) for i in ints]
 
 
 def test_exact_sorted_equals_sorted():
