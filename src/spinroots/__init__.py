@@ -1,7 +1,5 @@
 """Exact construction of rank-4 Coxeter root systems from rank-3 spinors."""
 
-from .clifford import (E1, E2, E3, I, Multivector, apply_versor, reflect,
-                       rotate, scalar, vector)
 from .coxeter import (GROUPS, CapExceeded, CartanMatrix, RootSystem,
                       SimpleRoots, cartan_matrix, orbit_closure,
                       reflect_root, simple_roots, verify_root_system)

@@ -2,14 +2,16 @@
 
 Commands print human-readable summaries; ``--json`` additionally writes the
 exact machine-readable form.  Exit status: 0 on success, 1 when a
-verification or table cell fails or the ``--json`` file cannot be written,
-2 on usage errors.
+verification or table cell fails, the ``--json`` file cannot be written
+or the reader of stdout has gone (a closed pipe, as in ``| head``), 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import coxeter, spingroup
@@ -208,9 +210,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except OutputError as exc:
         print(f"spinroots: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Python's flush at exit would fail again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

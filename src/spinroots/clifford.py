@@ -1,11 +1,22 @@
-"""Clifford algebra of 3D Euclidean space over FieldScalar.
+"""Clifford algebra of 3D Euclidean space over FieldScalar: the oracle.
 
 Basis blades are fixed in the order
 {1, s1, s2, s3, s1s2, s2s3, s3s1, s1s2s3} where s1, s2, s3 are the
 orthonormal frame vectors (Pauli-type, si*sj + sj*si = 2*delta_ij) and the
 last blade is the pseudoscalar I.  The geometric product is driven by a
 precomputed blade table; reflections and rotations are the usual sandwich
-maps -nan and R a ~R.
+maps -nan and R a ~R.  The pipeline computes with quaternions alone and
+never imports this module; it is the reference the tests check the
+pipeline against, kept in the package because the benchmark imports it.
+
+It alone fixes how blades map to quaternions.  ``from_spinor`` carries
+even multivectors to quadruples componentwise; it reverses products,
+from_spinor(A*B) = from_spinor(B) * from_spinor(A), and composed with
+reversal it is the algebra isomorphism.  As I is central with I^2 = -1,
+an odd versor is v = I R with R = -I v even: ``versor_pair`` gives
+(parity, quaternion of R) for either parity, and ``versor_blades`` the
+blades back.  The Hodge dual I a of a vector a is the parity-0 versor of
+the pure quaternion (0, a).
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 from .exactfield import ONE as F_ONE
 from .exactfield import ZERO as F_ZERO
 from .exactfield import RATIONAL_TYPES, FieldScalar
+from .quaternion import Quaternion
 
 BLADE_NAMES = ("1", "σ1", "σ2", "σ3",
                "σ1σ2", "σ2σ3", "σ3σ1", "I")
@@ -138,13 +150,6 @@ class Multivector:
         """Hodge dual: multiplication by the pseudoscalar I."""
         return I * self
 
-    def to_json(self) -> list[list[str]]:
-        return [c.to_json() for c in self.components]
-
-    @classmethod
-    def from_json(cls, data) -> Multivector:
-        return cls([FieldScalar.from_json(c) for c in data])
-
     def __repr__(self):
         return f"Multivector({self.components!r})"
 
@@ -233,3 +238,53 @@ def apply_versor(a: Multivector, versor: Multivector,
     if not out.is_vector():
         raise ValueError("input was not a versor (image is not a vector)")
     return out
+
+
+# -- the spinor bridge to quaternions ----------------------------------------
+
+def from_spinor(mv: Multivector) -> Quaternion:
+    """Componentwise image of a + b*I s1 + c*I s2 + d*I s3."""
+    if not mv.is_even():
+        raise ValueError("spinor map needs an even multivector")
+    c = mv.components
+    # blade 5 = s2s3 = I s1, blade 6 = s3s1 = I s2, blade 4 = s1s2 = I s3
+    return Quaternion(c[0], c[5], c[6], c[4])
+
+
+def to_spinor(q: Quaternion) -> Multivector:
+    return Multivector(versor_blades(0, q.components))
+
+
+def versor_pair(v: Multivector) -> tuple[int, Quaternion]:
+    """(0, from_spinor(R)) for an even versor R, (1, R) for an odd v = I R."""
+    if v.is_even():
+        return 0, from_spinor(v)
+    if v.is_odd():
+        c = v.components
+        return 1, Quaternion(c[7], -c[1], -c[2], -c[3])
+    raise ValueError("versor must have pure even or pure odd grade")
+
+
+def versor_blades(parity: int, q) -> tuple[FieldScalar, ...]:
+    """The 8 blade components of I^parity R, with q the 4 components of
+    R's quaternion; the inverse of ``versor_pair``."""
+    q0, q1, q2, q3 = q
+    if parity:
+        return (F_ZERO, -q1, -q2, -q3, F_ZERO, F_ZERO, F_ZERO, q0)
+    return (q0, F_ZERO, F_ZERO, F_ZERO, q3, q1, q2, F_ZERO)
+
+
+def quaternion_reflection_equivalence(v: Multivector, a: Multivector) -> bool:
+    """Check the quaternionic reflection decoding against the vector route.
+
+    With x the pure-quaternion image of I*a, the map
+    v -> -x conj(v) x / |a|^2 must equal the pure-quaternion image of the
+    reflection -ava / |a|^2.
+    """
+    if not v.is_vector() or not a.is_vector():
+        raise ValueError("expected pure vectors")
+    left = from_spinor(reflect(v, a).dual())
+    x = from_spinor(a.dual())
+    vq = from_spinor(v.dual())
+    right = -(x * vq.conjugate() * x) * x.norm_sq().inverse()
+    return left == right

@@ -6,15 +6,7 @@ every (for the icosians, every even) permutation of a base vector (Conway
 & Smith, *On Quaternions and Octonions*, ch. 3-4): the 8 Lipschitz units
 (1, 0, 0, 0); the 24 Hurwitz units, those and (1, 1, 1, 1)/2; the 24
 duals (1, 1, 0, 0)/sqrt2; the 120 icosians, the Hurwitz units and
-(0, tau, 1, sigma)/2.  This module owns the versor layout of Cl(3).
-``from_spinor`` carries even multivectors to quadruples componentwise,
-the (a; b, c, d) notation for the even subalgebra; it reverses products,
-from_spinor(A*B) = from_spinor(B) * from_spinor(A), and composed with
-reversal (quaternion conjugation) it is the algebra isomorphism.  As I is
-central with I^2 = -1, an odd versor is v = I R with R = -I v even:
-``versor_pair`` gives (parity, quaternion of R) for either parity, and
-``versor_blades`` the blades back.  The Hodge dual I a of a vector a is
-the parity-0 versor of the pure quaternion (0, a).
+(0, tau, 1, sigma)/2.
 """
 
 from __future__ import annotations
@@ -23,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from . import clifford
 from .coxeter import dot
 from .exactfield import ONE, RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
 
@@ -99,20 +90,6 @@ class Quaternion:
     def is_unit(self) -> bool:
         return self.norm_sq() == ONE
 
-    # -- spinor correspondence ----------------------------------------------
-
-    @classmethod
-    def from_spinor(cls, mv: clifford.Multivector) -> Quaternion:
-        """Componentwise image of a + b*I s1 + c*I s2 + d*I s3."""
-        if not mv.is_even():
-            raise ValueError("spinor map needs an even multivector")
-        c = mv.components
-        # blade 5 = s2s3 = I s1, blade 6 = s3s1 = I s2, blade 4 = s1s2 = I s3
-        return cls(c[0], c[5], c[6], c[4])
-
-    def to_spinor(self) -> clifford.Multivector:
-        return clifford.Multivector(versor_blades(0, self.components))
-
     # -- io -------------------------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
@@ -127,31 +104,6 @@ class Quaternion:
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
-
-
-def versor_pair(v: clifford.Multivector) -> tuple[int, Quaternion]:
-    """(0, from_spinor(R)) for an even versor R, (1, R) for an odd v = I R."""
-    if v.is_even():
-        return 0, Quaternion.from_spinor(v)
-    if v.is_odd():
-        c = v.components
-        return 1, Quaternion(c[7], -c[1], -c[2], -c[3])
-    raise ValueError("versor must have pure even or pure odd grade")
-
-
-def versor_blades(parity: int, q) -> tuple[FieldScalar, ...]:
-    """The 8 blade components of I^parity R, with q the 4 components of
-    R's quaternion; the inverse of ``versor_pair``."""
-    q0, q1, q2, q3 = q
-    if parity:
-        return (ZERO, -q1, -q2, -q3, ZERO, ZERO, ZERO, q0)
-    return (q0, ZERO, ZERO, ZERO, q3, q1, q2, ZERO)
-
-
-QONE = Quaternion(1)
-QI = Quaternion(0, 1)
-QJ = Quaternion(0, 0, 1)
-QK = Quaternion(0, 0, 0, 1)
 
 
 def apply_pq(x: Quaternion, p: Quaternion, q: Quaternion,

@@ -6,16 +6,17 @@ reflections, so the binary polyhedral group of rotors is the even half of
 that closure, and its quaternion images are the rank-4 root systems.  One
 type, ``VersorGroup``, holds both; the rotors are all even.
 
-A versor is held as its (parity, quaternion) pair (``quaternion.versor_pair``
-owns that layout): an even R as (0, q) and an odd v = I R as (1, q), with
-q the quaternion of R, from the roots, read as the pure quaternions of
-their duals (``_dual``), to the output, so no Multivector is built.  The
-closure holds q as 16 integer coordinates over one denominator
-(``exactfield.to_ints``).  Left multiplication by a generator is the
-sparse integer matrix that ``exactfield.linear_map`` reads off the
-Hamilton product, so a step is one sparse product and one gcd, the kernel
-that reflections share (``exactfield.apply``), in the closure that the
-orbit of roots shares (``coxeter.accrete``); the result is sorted once.
+A versor is held as its (parity, quaternion) pair: an even R as (0, q)
+and an odd v = I R as (1, q), with q the quaternion of R, from the roots,
+read as the pure quaternions of their duals (``_dual``), to the output,
+so no Multivector is built.  The closure holds q as 16 integer
+coordinates over one denominator (``exactfield.to_ints``).  Left
+multiplication by a generator is the sparse integer matrix that
+``exactfield.linear_map`` reads off the Hamilton product, so a step is
+one sparse product and one gcd, the kernel that reflections share
+(``exactfield.apply``), in the closure that the orbit of roots shares
+(``coxeter.accrete``).  The result is sorted once, each parity by
+(q0, q3, q1, q2): the output order that the golden files fix.
 A unit versor's transformation is fixed by the rotation of R, whose order
 follows from its scalar part q0 = cos theta (``coxeter.rotation_order``),
 so the census needs no matrices.
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .clifford import Multivector, reflect
 from .coxeter import (RootSystem, SimpleRoots, accrete, dot, orbit_closure,
                       rotation_order, verify_root_system)
 from .exactfield import (ONE, ZERO, apply, exact_sorted, from_ints,
@@ -71,12 +71,12 @@ def _step(gen, elem):
 def _mulclose(seed, cap: int):
     """Smallest set of (parity, Quaternion) pairs containing ``seed`` and
     closed under the geometric product: the even elements, then the odd,
-    each half sorted by the blades of R (q0, q3, q1, q2).
+    each half sorted by (q0, q3, q1, q2).
 
     Each element is held as (parity, coords, den): the quaternion as its
     reduced integer coordinates (``exactfield.to_ints``), so tuple
     equality is exact.  Since I is central, (I^a R_A)(I^b R_B) =
-    I^(a+b) R_A R_B, and from_spinor reverses products, so a step
+    I^(a+b) R_A R_B, and R_A R_B has the quaternion q_B q_A, so a step
     multiplies q_A on the left by q_B (the matrix of ``_generator``), XORs
     the parities and negates when both are odd (I^2 = -1).  The seed
     pairs, in the order given, are the seeds of ``coxeter.accrete``.
@@ -94,21 +94,21 @@ def _mulclose(seed, cap: int):
 
 
 def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
-    """Closure of the two spinor generators a1 a2 and a2 a3 (with reverses).
+    """Closure of the two spinor generators a1 a2 and a2 a3.
     With d_i = (0, a_i) the simple roots' duals, a1 a2 = a1.a2 + I a1 x a2
-    has the quaternion -(d2 d1) = (a1.a2, a1 x a2); a reverse conjugates."""
+    has the quaternion -(d2 d1) = (a1.a2, a1 x a2).  Each has finite order,
+    so the closure holds its inverse without seeding it."""
     if len(simple.roots) != 3:
         raise ValueError("need exactly three simple roots")
     d1, d2, d3 = map(_dual, simple.roots)
-    r1, r2 = -(d2 * d1), -(d3 * d2)
-    seed = ((0, r) for r in (r1, r2, r1.conjugate(), r2.conjugate()))
+    seed = ((0, -(d2 * d1)), (0, -(d3 * d2)))
     return VersorGroup(simple.group, _mulclose(seed, cap))
 
 
 @dataclass(frozen=True)
 class VersorGroup:
     """Unit versors as (parity, quaternion of R) pairs, even before odd,
-    each half sorted by R's blades; the rotors are the even ones."""
+    each half in ``_mulclose``'s order; the rotors are the even ones."""
     group: str
     elements: tuple[tuple[int, Quaternion], ...]
 
@@ -256,22 +256,6 @@ def catalog_match(ss: VersorGroup) -> str | None:
         if images == units:
             return name
     return None
-
-
-def quaternion_reflection_equivalence(v: Multivector, a: Multivector) -> bool:
-    """Check the quaternionic reflection decoding against the vector route.
-
-    With x the pure-quaternion image of I*a (a normalized), the map
-    v -> -x conj(v) x must equal the pure-quaternion image of the
-    reflection -ava.
-    """
-    if not v.is_vector() or not a.is_vector():
-        raise ValueError("expected pure vectors")
-    left = Quaternion.from_spinor(reflect(v, a).dual())
-    x = _dual(a.components[1:4])
-    vq = Quaternion.from_spinor(v.dual())
-    right = -(x * vq.conjugate() * x)
-    return left == right
 
 
 # -- full per-group pipeline --------------------------------------------------

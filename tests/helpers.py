@@ -5,9 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from spinroots.clifford import Multivector
+from spinroots.clifford import Multivector, versor_blades
 from spinroots.exactfield import FieldScalar
-from spinroots.quaternion import versor_blades
 
 # Independent blade arithmetic: blades as tuples of frame-vector indices,
 # multiplied by concatenation, bubble-sorted with a sign per swap, equal
@@ -55,7 +54,7 @@ def geometric_product_oracle(x: Multivector, y: Multivector) -> Multivector:
 
 def multivector(pair) -> Multivector:
     """A (parity, quaternion) pair as a Multivector, built through
-    ``quaternion.versor_blades``."""
+    ``clifford.versor_blades``."""
     parity, q = pair
     return Multivector(versor_blades(parity, q.components))
 

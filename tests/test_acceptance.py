@@ -13,13 +13,14 @@ from itertools import product
 from helpers import (induced_matrix, multivectors, rand_multivector,
                      rand_nonzero_scalar, rand_scalar, rand_vector_mv)
 from spinroots import clifford
-from spinroots.clifford import E1, E2, E3, I, ONE, Multivector, reflect, vector
+from spinroots.clifford import (E1, E2, E3, I, ONE, Multivector, from_spinor,
+                                quaternion_reflection_equivalence, reflect,
+                                vector)
 from spinroots.coxeter import (RootSystem, cartan_matrix, simple_roots,
                                verify_root_system)
 from spinroots.exactfield import SIGMA, TAU, FieldScalar
 from spinroots.quaternion import Quaternion, catalog
-from spinroots.spingroup import (generate_from_two,
-                                 quaternion_reflection_equivalence)
+from spinroots.spingroup import generate_from_two
 
 GROUPS = ("a1x3", "a3", "b3", "h3")
 TABLE_ROOTS3 = {"a1x3": 6, "a3": 12, "b3": 18, "h3": 30}
@@ -173,11 +174,9 @@ def test_criterion_10_property_suites(pipelines, unit_vector_pool):
 
         evens = [ONE, I * E1, I * E2, I * E3]
         for A, B in product(evens, repeat=2):
-            assert Quaternion.from_spinor((A * B).reverse()) == \
-                Quaternion.from_spinor(A.reverse()) \
-                * Quaternion.from_spinor(B.reverse())
-            assert Quaternion.from_spinor(A * B) == \
-                Quaternion.from_spinor(B) * Quaternion.from_spinor(A)
+            assert from_spinor((A * B).reverse()) == \
+                from_spinor(A.reverse()) * from_spinor(B.reverse())
+            assert from_spinor(A * B) == from_spinor(B) * from_spinor(A)
 
         for _ in range(1000):
             v = rand_vector_mv(rng, 4)

@@ -21,6 +21,11 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _src() -> str:
+    """The directory that holds the imported spinroots package."""
+    return str(Path(spinroots.__file__).resolve().parent.parent)
+
+
 def test_roots_h3(capsys):
     code, out = run(capsys, "roots", "h3")
     assert code == 0
@@ -230,8 +235,7 @@ def test_json_to_unwritable_path_is_a_clean_error(tmp_path, capsys):
 
 
 def test_json_to_unwritable_path_exit_status(tmp_path):
-    src = Path(spinroots.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=_src())
     proc = subprocess.run(
         [sys.executable, "-m", "spinroots.cli", "roots", "a1x3", "--json",
          str(tmp_path / "missing" / "x.json")],
@@ -270,3 +274,40 @@ def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
     want = json.dumps(spingroup.export_json(pipelines["a3"]), indent=2,
                       sort_keys=True) + "\n"
     assert path.read_text(encoding="utf-8") == want
+
+
+def test_verify_table_does_not_load_the_clifford_algebra():
+    # the pipeline is quaternion code: a fresh, isolated interpreter that
+    # runs the whole table never imports the Clifford oracle
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from spinroots.cli import main; "
+            "status = main(['verify-table']); "
+            "print(*sorted(m for m in sys.modules "
+            "if m.startswith('spinroots')), file=sys.stderr); "
+            "sys.exit(status)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, _src()],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    loaded = proc.stderr.split()
+    assert "spinroots.spingroup" in loaded
+    assert "spinroots.clifford" not in loaded
+
+
+@pytest.mark.parametrize("flags", [["-u"], []])
+def test_closed_stdout_pipe_is_a_clean_exit(flags):
+    # stdout is a pipe whose read end is already closed, as when the
+    # reader (head -n 1) has gone; -u makes the first print fail, buffered
+    # output fails at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = _src()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "spinroots.cli", "roots", "h3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -15,19 +15,19 @@ from helpers import (induced_matrix, mat_det3, mat_identity, mat_mul,
                      rand_nonzero_scalar, rand_sparse_scalar, rand_vector_mv,
                      turn)
 from spinroots import clifford, spingroup
-from spinroots.clifford import E1, E2, I, ONE, Multivector, vector
+from spinroots.clifford import (E1, E2, I, ONE, Multivector, from_spinor,
+                                quaternion_reflection_equivalence, vector,
+                                versor_blades, versor_pair)
 from spinroots.coxeter import (GROUPS, CapExceeded, RootSystem,
                                SimpleRoots, orbit_closure, simple_roots,
                                verify_root_system)
 from spinroots.exactfield import FieldScalar, to_ints
-from spinroots.quaternion import (Quaternion, catalog, versor_blades,
-                                  versor_pair)
+from spinroots.quaternion import Quaternion, catalog
 from spinroots.spingroup import (classify_versors,
                                  check_pure_quaternion_subrootsystem,
                                  catalog_match, generate_from_two,
                                  generate_versor_group,
-                                 induce_rank4,
-                                 quaternion_reflection_equivalence)
+                                 induce_rank4)
 
 EXPECTED_SPINORS = {"a1x3": 8, "a3": 24, "b3": 48, "h3": 120}
 EXPECTED_CATALOG = {"a1x3": "lipschitz", "a3": "hurwitz",
@@ -85,7 +85,7 @@ def test_worked_rotor_values_a3():
     half = FieldScalar(Fraction(1, 2))
     r12 = a1 * a2
     assert r12 == Multivector((-half, 0, 0, 0, -half, half, -half, 0))
-    assert Quaternion.from_spinor(r12) == Quaternion(-half, half, -half, -half)
+    assert from_spinor(r12) == Quaternion(-half, half, -half, -half)
     assert a1 * a3 == I * clifford.E3
 
 
@@ -93,7 +93,7 @@ def test_worked_rotor_values_a1x3():
     a1, a2, a3 = (vector(*r) for r in simple_roots("a1x3").roots)
     assert a1 * a1 == ONE
     assert a2 * a3 == I * E1
-    assert Quaternion.from_spinor(a2 * a3) == Quaternion(0, 1, 0, 0)
+    assert from_spinor(a2 * a3) == Quaternion(0, 1, 0, 0)
 
 
 def test_generate_from_two_matches_full(spinor_sets):
@@ -294,7 +294,7 @@ def test_h3_duals_are_pure_icosians(pipelines):
     duals = {vector(*r).dual() for r in res.root_system.roots}
     assert len(duals) == 30
     assert duals <= rotors
-    images = {Quaternion.from_spinor(d) for d in duals}
+    images = {from_spinor(d) for d in duals}
     assert images == {q for q in catalog("icosians") if q.is_pure()}
 
 
@@ -433,8 +433,7 @@ def _unit_vector(root) -> Multivector:
 
 def _two_generator_seed(simple):
     v1, v2, v3 = map(_unit_vector, simple.roots)
-    r1, r2 = v1 * v2, v2 * v3
-    return {r1, r2, r1.reverse(), r2.reverse()}
+    return {v1 * v2, v2 * v3}
 
 
 def _documented_order(versors):
@@ -557,13 +556,43 @@ def test_run_pipeline_rejects_a_closure_that_is_no_root_system():
         spingroup.run_pipeline(doubled)
 
 
+def _simple(group, *roots):
+    return SimpleRoots(group, tuple(
+        tuple(c if isinstance(c, FieldScalar) else FieldScalar(c) for c in r)
+        for r in roots))
+
+
+def test_pipeline_on_c3_normalizes_two_root_lengths():
+    # the long simple root (0, 0, 2) has norm 2, so _dual takes its square
+    # root inside the pipeline; C3 and B3 share the group 2O
+    res = spingroup.run_pipeline(_simple("c3", (1, -1, 0), (0, 1, -1),
+                                         (0, 0, 2)))
+    assert (len(res.root_system), res.order, len(res.spinors)) == \
+        (18, 48, 48)
+    assert catalog_match(res.spinors) == "hurwitz+duals"
+    assert len(res.rank4) == 48
+
+
+def test_pipeline_on_a1xb2_matches_no_catalog():
+    # A1 x B2 induces a group of 16 spinors that none of the four
+    # catalogs holds, with the duals of its roots among them
+    h = FieldScalar(0, Fraction(1, 2))   # 1/sqrt2
+    res = spingroup.run_pipeline(_simple("a1xb2", (0, 0, 1), (1, 0, 0),
+                                         (-h, h, 0)))
+    assert (len(res.root_system), res.order, len(res.spinors),
+            len(res.versors)) == (10, 16, 16, 32)
+    assert res.pure.holds and res.two_generator_match
+    assert res.census.central_inversion
+    assert catalog_match(res.spinors) is None
+
+
 def test_pipeline_maps_only_the_two_generator_seeds(monkeypatch):
     # the roots enter the closures as their dual quaternions, and the
     # closures hand back (parity, quaternion) pairs, so a pass builds no
     # Multivector, takes no geometric product and leaves the spinor map
     calls = Counter()
     init, mul = Multivector.__init__, Multivector.__mul__
-    from_spinor = Quaternion.from_spinor.__func__
+    original_from_spinor = clifford.from_spinor
 
     def counted_init(self, components):
         calls["init"] += 1
@@ -573,14 +602,13 @@ def test_pipeline_maps_only_the_two_generator_seeds(monkeypatch):
         calls["product"] += isinstance(b, Multivector)
         return mul(a, b)
 
-    def counted_from_spinor(cls, mv):
+    def counted_from_spinor(mv):
         calls["from_spinor"] += 1
-        return from_spinor(cls, mv)
+        return original_from_spinor(mv)
 
     monkeypatch.setattr(Multivector, "__init__", counted_init)
     monkeypatch.setattr(Multivector, "__mul__", counted_mul)
-    monkeypatch.setattr(Quaternion, "from_spinor",
-                        classmethod(counted_from_spinor))
+    monkeypatch.setattr(clifford, "from_spinor", counted_from_spinor)
     for g in GROUPS:
         spingroup.run_pipeline(simple_roots(g))
     assert calls == Counter()
