@@ -20,7 +20,6 @@ reflection formula, applied by the shared ``exactfield.apply``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactfield import (ONE, SIGMA, TAU, ZERO, FieldScalar, apply,
@@ -70,13 +69,57 @@ def accrete(seeds, generator, step, cap: int, what: str = "closure") -> set:
     return closure
 
 
+class Record:
+    """A read-only record of the fields its class names in ``__slots__``.
+
+    Built from the fields' values, in order or by name, and set with
+    ``object.__setattr__``; equal to a record of the same class with equal
+    fields, hashed and shown by them.  Assignment raises AttributeError,
+    as it does on ``FieldScalar`` and ``Quaternion``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if (len(args) + len(kwargs) != len(names)
+                or values.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{names}, each once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
 def _root(*vals) -> Root:
     return tuple(v if isinstance(v, FieldScalar) else FieldScalar(v)
                  for v in vals)
 
 
-@dataclass(frozen=True)
-class SimpleRoots:
+class SimpleRoots(Record):
+    __slots__ = ("group", "roots")
     group: str
     roots: tuple[Root, ...]
 
@@ -155,14 +198,25 @@ def _rank(roots) -> int:
 
 # -- root systems -----------------------------------------------------------
 
-@dataclass
-class RootSystem:
+class RootSystem(Record):
+    """``verified`` starts False and is set by ``verify_root_system`` (or
+    an explicit assignment), never by the constructor, so a flag cannot be
+    claimed at construction.  It is the one field that can be assigned,
+    so the record is not hashable."""
+    __slots__ = ("group", "rank", "roots", "verified")
     group: str
     rank: int
     roots: tuple[Root, ...]
-    # Set by ``verify_root_system`` (or an explicit assignment), never by
-    # the constructor, so a flag cannot be claimed at construction.
-    verified: bool = field(default=False, init=False)
+    verified: bool
+    __hash__ = None
+
+    def __init__(self, group, rank, roots):
+        super().__init__(group, rank, roots, False)
+
+    def __setattr__(self, name, value):
+        if name != "verified":
+            raise AttributeError(f"RootSystem.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.roots)
@@ -201,12 +255,15 @@ def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
                       tuple(exact_sorted([from_ints(*k) for k in roots])))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
+    __slots__ = ("passed", "axiom", "witness", "message")
     passed: bool
-    axiom: int | None = None
-    witness: tuple = ()
-    message: str = "ok"
+    axiom: int | None
+    witness: tuple
+    message: str
+
+    def __init__(self, passed, axiom=None, witness=(), message="ok"):
+        super().__init__(passed, axiom, witness, message)
 
 
 def _direction(x: Root, inverses: dict) -> Root:
@@ -314,8 +371,8 @@ def rotation_order(c2: FieldScalar) -> int:
                          "order") from None
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Record):
+    __slots__ = ("entries", "pair_orders")
     entries: tuple[tuple[FieldScalar, ...], ...]
     pair_orders: tuple[tuple[int, ...], ...]
 

@@ -25,10 +25,9 @@ so the census needs no matrices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 
-from .coxeter import (RootSystem, SimpleRoots, accrete, dot, orbit_closure,
-                      rotation_order, verify_root_system)
+from .coxeter import (Record, RootSystem, SimpleRoots, accrete, dot,
+                      orbit_closure, rotation_order, verify_root_system)
 from .exactfield import (ONE, ZERO, apply, exact_sorted, from_ints,
                          linear_map, to_ints)
 from .quaternion import Quaternion, catalog
@@ -105,10 +104,10 @@ def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
     return VersorGroup(simple.group, _mulclose(seed, cap))
 
 
-@dataclass(frozen=True)
-class VersorGroup:
+class VersorGroup(Record):
     """Unit versors as (parity, quaternion of R) pairs, even before odd,
     each half in ``_mulclose``'s order; the rotors are the even ones."""
+    __slots__ = ("group", "elements")
     group: str
     elements: tuple[tuple[int, Quaternion], ...]
 
@@ -144,8 +143,9 @@ def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     return VersorGroup(rs.group, elements)
 
 
-@dataclass(frozen=True)
-class VersorCensus:
+class VersorCensus(Record):
+    __slots__ = ("transformations", "identity", "rotations", "reflections",
+                 "rotoinversions", "even", "odd", "central_inversion")
     transformations: int
     identity: int
     rotations: dict
@@ -156,8 +156,10 @@ class VersorCensus:
     central_inversion: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "rotations": {
-            str(k): v for k, v in sorted(self.rotations.items())}}
+        data = dict(zip(self.__slots__, self._fields()))
+        data["rotations"] = {str(k): v
+                             for k, v in sorted(self.rotations.items())}
+        return data
 
 
 def classify_versors(vg: VersorGroup) -> VersorCensus:
@@ -198,9 +200,9 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
                         even // k, odd // k, (1, Quaternion(1)) in vg.elements)
 
 
-@dataclass(frozen=True)
-class PureQuaternionCheck:
+class PureQuaternionCheck(Record):
     """The witness is a (parity, quaternion) pair: -I or a missing dual."""
+    __slots__ = ("holds", "central_inversion", "witness")
     holds: bool
     central_inversion: bool
     witness: tuple[int, Quaternion]
@@ -260,8 +262,9 @@ def catalog_match(ss: VersorGroup) -> str | None:
 
 # -- full per-group pipeline --------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(Record):
+    __slots__ = ("group", "root_system", "spinors", "versors", "census",
+                 "pure", "rank4", "two_generator", "two_generator_match")
     group: str
     root_system: RootSystem
     spinors: VersorGroup

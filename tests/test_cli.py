@@ -278,19 +278,31 @@ def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
 
 def test_verify_table_does_not_load_the_clifford_algebra():
     # the pipeline is quaternion code: a fresh, isolated interpreter that
-    # runs the whole table never imports the Clifford oracle
+    # runs the whole table never imports the Clifford oracle, nor
+    # dataclasses and the inspect it pulls in; -B, since -I ignores
+    # PYTHONDONTWRITEBYTECODE, so the run leaves no __pycache__ in src/
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from spinroots.cli import main; "
             "status = main(['verify-table']); "
-            "print(*sorted(m for m in sys.modules "
-            "if m.startswith('spinroots')), file=sys.stderr); "
+            "print(*sorted(sys.modules), file=sys.stderr); "
             "sys.exit(status)")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, _src()],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, _src()],
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     loaded = proc.stderr.split()
     assert "spinroots.spingroup" in loaded
     assert "spinroots.clifford" not in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
+def test_no_module_uses_dataclasses():
+    # the records are slotted classes, so importing the package compiles
+    # no generated code
+    package = Path(spinroots.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "dataclass" in p.read_text(encoding="utf-8")] == []
 
 
 @pytest.mark.parametrize("flags", [["-u"], []])

@@ -373,6 +373,57 @@ def test_constructor_rejects_the_verified_flag():
     assert RootSystem("x", 3, (_r(1, 0, 0),)).verified is False
 
 
+def test_root_system_assigns_only_its_flag():
+    rs = RootSystem("x", 3, (_r(1, 0, 0),))
+    rs.verified = True
+    assert rs.verified is True
+    for name in ("group", "rank", "roots"):
+        with pytest.raises(AttributeError):
+            setattr(rs, name, getattr(rs, name))
+    fresh = RootSystem("x", 3, (_r(1, 0, 0),))
+    assert rs != fresh  # the flag is a field
+    fresh.verified = True
+    assert rs == fresh
+    with pytest.raises(TypeError):
+        hash(rs)
+
+
+def test_frozen_records_are_read_only():
+    simple = simple_roots("b3")
+    for record in (simple, Certificate(True), cartan_matrix(simple)):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+
+def test_certificate_compares_by_fields():
+    fields = [False, 2, (_r(1, 0, 0),), "reflection image escapes the set"]
+    cert = Certificate(*fields)
+    assert cert == Certificate(*fields)
+    assert hash(cert) == hash(Certificate(*fields))
+    for i in range(len(fields)):
+        assert cert != Certificate(*fields[:i], object(), *fields[i + 1:])
+    assert cert != tuple(fields)
+    assert Certificate(True) == Certificate(True, None, (), "ok") == \
+        Certificate(passed=True, message="ok")
+    assert repr(Certificate(True)) == \
+        "Certificate(passed=True, axiom=None, witness=(), message='ok')"
+
+
+def test_records_take_their_fields_in_order_or_by_name():
+    roots = simple_roots("a3").roots
+    assert SimpleRoots("a3", roots) == SimpleRoots(roots=roots, group="a3")
+    for args, kwargs in (((), {}), (("a3",), {}), (("a3", roots, 1), {}),
+                         (("a3", roots), {"group": "a3"}),
+                         (("a3", roots), {"rank": 3})):
+        with pytest.raises(TypeError):
+            SimpleRoots(*args, **kwargs)
+    with pytest.raises(TypeError):
+        Certificate()
+
+
 def test_verify_duplicate_root_is_a_scalar_multiple():
     alpha = _r(1, 0, 0)
     rs = RootSystem("bad", 3, (alpha, negate(alpha), alpha))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -19,11 +20,11 @@ from spinroots.clifford import (E1, E2, I, ONE, Multivector, from_spinor,
                                 quaternion_reflection_equivalence, vector,
                                 versor_blades, versor_pair)
 from spinroots.coxeter import (GROUPS, CapExceeded, RootSystem,
-                               SimpleRoots, orbit_closure, simple_roots,
-                               verify_root_system)
+                               SimpleRoots, cartan_matrix, orbit_closure,
+                               simple_roots, verify_root_system)
 from spinroots.exactfield import FieldScalar, to_ints
 from spinroots.quaternion import Quaternion, catalog
-from spinroots.spingroup import (classify_versors,
+from spinroots.spingroup import (VersorGroup, classify_versors,
                                  check_pure_quaternion_subrootsystem,
                                  catalog_match, generate_from_two,
                                  generate_versor_group,
@@ -613,6 +614,82 @@ def test_pipeline_maps_only_the_two_generator_seeds(monkeypatch):
         spingroup.run_pipeline(simple_roots(g))
     assert calls == Counter()
     assert ONE * E1 == E1 and calls == Counter(init=1, product=1)
+
+
+CENSUS_JSON = {
+    "a1x3": {"transformations": 8, "identity": 1, "rotations": {"2": 3},
+             "reflections": 3, "rotoinversions": 1, "even": 4, "odd": 4,
+             "central_inversion": True},
+    "a3": {"transformations": 24, "identity": 1,
+           "rotations": {"2": 3, "3": 8}, "reflections": 6,
+           "rotoinversions": 6, "even": 12, "odd": 12,
+           "central_inversion": False},
+    "b3": {"transformations": 48, "identity": 1,
+           "rotations": {"2": 9, "3": 8, "4": 6}, "reflections": 9,
+           "rotoinversions": 15, "even": 24, "odd": 24,
+           "central_inversion": True},
+    "h3": {"transformations": 120, "identity": 1,
+           "rotations": {"2": 15, "3": 20, "5": 24}, "reflections": 15,
+           "rotoinversions": 45, "even": 60, "odd": 60,
+           "central_inversion": True},
+}
+
+
+def test_census_json_keys_values_and_order(pipelines):
+    # the key order is the field order, and the --json digests fix it
+    for g, res in pipelines.items():
+        assert json.dumps(res.census.to_json()) == \
+            json.dumps(CENSUS_JSON[g]), g
+
+
+def test_pipeline_records_are_read_only(pipelines):
+    res = pipelines["b3"]
+    for record in (res, res.spinors, res.census, res.pure):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def test_census_and_pure_check_compare_by_fields(pipelines):
+    for res in pipelines.values():
+        for record in (res.census, res.pure):
+            cls = type(record)
+            fields = [getattr(record, name) for name in cls.__slots__]
+            assert cls(*fields) == record
+            for i in range(len(fields)):
+                assert cls(*fields[:i], object(), *fields[i + 1:]) != record
+    assert pipelines["a3"].census != pipelines["b3"].census
+    assert pipelines["a3"].pure != pipelines["b3"].pure
+    assert pipelines["b3"].pure == pipelines["h3"].pure  # both witness -I
+
+
+def test_versor_group_is_not_a_tuple(spinor_sets):
+    ss = spinor_sets["a1x3"]
+    assert len(ss) == len(ss.elements) == 8
+    assert ss != (ss.group, ss.elements)
+    assert ss == VersorGroup(ss.group, ss.elements)
+    assert ss != VersorGroup("other", ss.elements)
+
+
+@pytest.mark.parametrize("conj", ["conj_sqrt2", "conj_sqrt5"])
+@pytest.mark.parametrize("group", GROUPS)
+def test_galois_conjugate_roots_give_the_same_pipeline(pipelines, group,
+                                                       conj):
+    # a Galois map is a field automorphism, so it keeps every polynomial
+    # identity among the coordinates: the conjugate simple roots close to
+    # the same counts, census and checks, and the angle pi/5 of H3 goes to
+    # 2pi/5, of the same order 5
+    preset = pipelines[group]
+    simple = SimpleRoots(group, tuple(
+        tuple(getattr(c, conj)() for c in r)
+        for r in simple_roots(group).roots))
+    res = spingroup.run_pipeline(simple)
+
+    def summary(r, roots):
+        return (len(r.root_system), len(r.spinors), r.census.to_json(),
+                r.pure.holds, r.two_generator_match, len(r.rank4),
+                cartan_matrix(roots).pair_orders)
+    assert summary(res, simple) == summary(preset, simple_roots(group))
 
 
 def test_export_json(pipelines):
