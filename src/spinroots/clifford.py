@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .exactfield import ONE as F_ONE
 from .exactfield import ZERO as F_ZERO
-from .exactfield import RATIONAL_TYPES, FieldScalar
+from .exactfield import FieldScalar
 from .quaternion import Quaternion
 
 BLADE_NAMES = ("1", "σ1", "σ2", "σ3",
@@ -78,10 +78,8 @@ class Multivector:
         return Multivector(tuple(-x for x in self.components))
 
     def __mul__(self, other):
-        if isinstance(other, (FieldScalar, *RATIONAL_TYPES)):
-            return Multivector(tuple(x * other for x in self.components))
         if not isinstance(other, Multivector):
-            return NotImplemented
+            return Multivector(tuple(x * other for x in self.components))
         out = [F_ZERO] * 8
         for i, x in enumerate(self.components):
             if not x:

@@ -20,17 +20,14 @@ reflection formula, applied by the shared ``exactfield.apply``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactfield import (ONE, SIGMA, TAU, ZERO, FieldScalar, apply,
-                         exact_sorted, from_ints, linear_map, to_ints)
+from .exactfield import (HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar,
+                         apply, exact_sorted, from_ints, linear_map, to_ints)
 
 Root = tuple[FieldScalar, ...]
 
 GROUPS = ("a1x3", "a3", "b3", "h3")
 
-_S = FieldScalar(0, Fraction(1, 2))  # 1/sqrt2
-_HALF = Fraction(1, 2)
+_S = SQRT2 * HALF  # 1/sqrt2
 
 
 class CapExceeded(ValueError):
@@ -128,7 +125,7 @@ _PRESETS = {
     "a1x3": (_root(1, 0, 0), _root(0, 1, 0), _root(0, 0, 1)),
     "a3": (_root(_S, _S, 0), _root(0, -_S, _S), _root(-_S, _S, 0)),
     "b3": (_root(_S, -_S, 0), _root(0, _S, -_S), _root(0, 0, 1)),
-    "h3": (_root(-1, 0, 0), _root(TAU * _HALF, _HALF, SIGMA * _HALF),
+    "h3": (_root(-1, 0, 0), _root(TAU * HALF, HALF, SIGMA * HALF),
            _root(0, 0, -1)),
 }
 
@@ -335,17 +332,17 @@ def verify_root_system(rs: RootSystem) -> Certificate:
 # -- Cartan data ------------------------------------------------------------
 
 # cos^2 theta -> order n of the rotation through 2 theta, theta = pi k / n
-_QUARTER = Fraction(1, 4)
+_QUARTER = HALF * HALF
 _ROTATION_ORDER = {
     ONE: 1,                                 # theta = 0
     ZERO: 2,                                # pi/2
-    FieldScalar(_QUARTER): 3,               # pi/3
-    FieldScalar(_HALF): 4,                  # pi/4
+    _QUARTER: 3,                            # pi/3
+    HALF: 4,                                # pi/4
     TAU * TAU * _QUARTER: 5,                # pi/5
     SIGMA * SIGMA * _QUARTER: 5,            # 2pi/5
-    FieldScalar(3 * _QUARTER): 6,           # pi/6
-    (ONE + _S) * _HALF: 8,                  # pi/8
-    (ONE - _S) * _HALF: 8,                  # 3pi/8
+    3 * _QUARTER: 6,                        # pi/6
+    (ONE + _S) * HALF: 8,                   # pi/8
+    (ONE - _S) * HALF: 8,                   # 3pi/8
     (FieldScalar(2) + TAU) * _QUARTER: 10,  # pi/10
     (FieldScalar(2) + SIGMA) * _QUARTER: 10,  # 3pi/10
 }

@@ -13,8 +13,11 @@ denominator, Cohen, *A Course in Computational Algebraic Number Theory*,
 4.2).  The reduced tuple is canonical, so equality and the hash are
 those of the tuple.  The sign is decided exactly by integer comparisons,
 and square roots are taken down the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2)
-in field arithmetic.  ``Fraction`` appears only at the edges: the
-constructor, the ``a``-``d`` components, JSON and display.  A
+in field arithmetic.  Exact rationals enter through their ``numerator``
+and ``denominator`` (int, bool, Fraction); JSON and display are read off
+the integer tuple.  Only ``_fraction`` names ``fractions.Fraction``, for
+string input and the ``a``-``d`` components, and imports it when called,
+so the pipeline never loads ``fractions`` or its ``decimal``.  A
 field-linear map is a sparse integer matrix on these coordinates, read
 off its images of the unit vectors (``linear_map``), and ``apply`` is the
 kernel of every closure, of reflections and of versor products.
@@ -22,22 +25,25 @@ kernel of every closure, of reflections and of versor products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
 
-RATIONAL_TYPES = (int, Fraction)
+
+def _fraction(*args):
+    """``fractions.Fraction(*args)``, the module imported on first use."""
+    from fractions import Fraction
+    return Fraction(*args)
 
 
 def _parts(x) -> tuple[int, int]:
-    """(numerator, denominator) of an exact rational given as int,
-    Fraction or string."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, (Fraction, str)):
-        f = Fraction(x)
-        return f.numerator, f.denominator
-    raise TypeError(f"cannot build an exact rational from {x!r}")
+    """(numerator, denominator) of an exact rational or a string of one."""
+    if isinstance(x, str):
+        x = _fraction(x)
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"cannot build an exact rational from {x!r}") \
+            from None
 
 
 def _sign2(p: int, q: int) -> int:
@@ -79,9 +85,9 @@ class FieldScalar:
 
     Immutable.  Internally four integers over one positive denominator
     whose common gcd is 1, so equality and the hash are those of that
-    tuple; ``a``, ``b``, ``c`` and ``d`` give the components as
-    lowest-terms Fractions.  ``sqrt`` solves one quadratic per level of
-    the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2), in field arithmetic.
+    tuple; ``a``-``d`` give the components as lowest-terms Fractions,
+    for callers outside the package.  ``sqrt`` solves one quadratic per
+    level of the tower Q < Q(sqrt5) < Q(sqrt5)(sqrt2), in field arithmetic.
     """
 
     __slots__ = ("_v",)
@@ -98,20 +104,20 @@ class FieldScalar:
         raise AttributeError("FieldScalar is immutable")
 
     @property
-    def a(self) -> Fraction:
-        return Fraction(self._v[0], self._v[4])
+    def a(self):
+        return _fraction(self._v[0], self._v[4])
 
     @property
-    def b(self) -> Fraction:
-        return Fraction(self._v[1], self._v[4])
+    def b(self):
+        return _fraction(self._v[1], self._v[4])
 
     @property
-    def c(self) -> Fraction:
-        return Fraction(self._v[2], self._v[4])
+    def c(self):
+        return _fraction(self._v[2], self._v[4])
 
     @property
-    def d(self) -> Fraction:
-        return Fraction(self._v[3], self._v[4])
+    def d(self):
+        return _fraction(self._v[3], self._v[4])
 
     # -- ring structure ----------------------------------------------------
 
@@ -269,9 +275,13 @@ class FieldScalar:
         return (a / den + b / den * 2 ** 0.5
                 + c / den * 5 ** 0.5 + d / den * 10 ** 0.5)
 
+    def _lowest(self) -> list[tuple[int, int]]:
+        """(numerator, denominator) of a, b, c and d in lowest terms."""
+        *nums, den = self._v
+        return [(n // (g := gcd(n, den)), den // g) for n in nums]
+
     def to_json(self) -> list[str]:
-        return [f"{f.numerator}/{f.denominator}"
-                for f in (self.a, self.b, self.c, self.d)]
+        return [f"{n}/{q}" for n, q in self._lowest()]
 
     @classmethod
     def from_json(cls, data) -> FieldScalar:
@@ -280,28 +290,27 @@ class FieldScalar:
         return cls(*data)
 
     def __repr__(self):
-        return f"FieldScalar({self.a!s}, {self.b!s}, {self.c!s}, {self.d!s})"
+        # components shown as str(Fraction) shows them: "n/1" is "n"
+        return "FieldScalar(" + ", ".join(
+            f.removesuffix("/1") for f in self.to_json()) + ")"
 
     def __str__(self):
         for value, name in _NAMED:
             if self == value:
                 return name
         terms = []
-        for coef, label in ((self.a, ""), (self.b, "√2"),
-                            (self.c, "√5"), (self.d, "√10")):
-            if not coef:
+        for (n, q), label in zip(self._lowest(), ("", "√2", "√5", "√10")):
+            if not n:
                 continue
-            mag = abs(coef)
-            if label and mag == 1:
-                body = label
-            elif label:
-                body = f"{mag}·{label}"
+            mag = f"{abs(n)}/{q}".removesuffix("/1")
+            if not label:
+                body = mag
             else:
-                body = str(mag)
+                body = label if mag == "1" else f"{mag}·{label}"
             if not terms:
-                terms.append(body if coef > 0 else f"-{body}")
+                terms.append(body if n > 0 else f"-{body}")
             else:
-                terms.append(f"+ {body}" if coef > 0 else f"- {body}")
+                terms.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(terms) if terms else "0"
 
 
@@ -337,22 +346,20 @@ def _sqrt_in(x: FieldScalar, m: int) -> FieldScalar | None:
     s = _sqrt_in(u * u - v * v * m, below)
     if s is None:
         return None
-    half = _make(1, 0, 0, 0, 2)
-    for z in ((u + s) * half, (u - s) * half):
+    for z in ((u + s) * HALF, (u - s) * HALF):
         p = _sqrt_in(z, below)
         if p:
-            return p + v * half * p.inverse() * sqrt_m
+            return p + v * HALF * p.inverse() * sqrt_m
     return None
 
 
 def _coerce(x):
     if isinstance(x, FieldScalar):
         return x
-    if isinstance(x, int):
-        return _make(x, 0, 0, 0, 1)
-    if isinstance(x, Fraction):
+    try:
         return _make(x.numerator, 0, 0, 0, x.denominator)
-    return None
+    except AttributeError:
+        return None
 
 
 def to_ints(xs) -> tuple[tuple[int, ...], int]:
@@ -432,7 +439,8 @@ ONE = FieldScalar(1)
 SQRT2 = FieldScalar(0, 1)
 SQRT5 = FieldScalar(0, 0, 1)
 SQRT10 = FieldScalar(0, 0, 0, 1)
-TAU = FieldScalar(Fraction(1, 2), 0, Fraction(1, 2), 0)
-SIGMA = FieldScalar(Fraction(1, 2), 0, Fraction(-1, 2), 0)
+HALF = _make(1, 0, 0, 0, 2)
+TAU = _make(1, 0, 1, 0, 2)
+SIGMA = _make(1, 0, -1, 0, 2)
 
 _NAMED = ((TAU, "τ"), (-TAU, "-τ"), (SIGMA, "σ"), (-SIGMA, "-σ"))

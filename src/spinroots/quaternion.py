@@ -11,12 +11,11 @@ duals (1, 1, 0, 0)/sqrt2; the 120 icosians, the Hurwitz units and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .coxeter import dot
-from .exactfield import ONE, RATIONAL_TYPES, SIGMA, TAU, ZERO, FieldScalar
+from .exactfield import HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar
 
 
 class Quaternion:
@@ -48,10 +47,8 @@ class Quaternion:
         return Quaternion(*(-x for x in self.components))
 
     def __mul__(self, other):
-        if isinstance(other, (FieldScalar, *RATIONAL_TYPES)):
-            return Quaternion(*(x * other for x in self.components))
         if not isinstance(other, Quaternion):
-            return NotImplemented
+            return Quaternion(*(x * other for x in self.components))
         a0, a1, a2, a3 = self.components
         b0, b1, b2, b3 = other.components
         return Quaternion(
@@ -117,8 +114,7 @@ def apply_pq(x: Quaternion, p: Quaternion, q: Quaternion,
 _ALL = tuple(permutations(range(4)))
 _EVEN = tuple(p for p in _ALL
               if sum(i > j for i, j in combinations(p, 2)) % 2 == 0)
-_HALF = FieldScalar(Fraction(1, 2))
-_HALF_SQRT2 = FieldScalar(0, Fraction(1, 2))
+_HALF_SQRT2 = SQRT2 * HALF
 
 
 def _units(base, perms) -> frozenset[Quaternion]:
@@ -132,9 +128,9 @@ def _units(base, perms) -> frozenset[Quaternion]:
 
 _CATALOGS = {  # name: (the set it extends, base vector, permutations)
     "lipschitz": (None, (ONE, ZERO, ZERO, ZERO), _ALL),
-    "hurwitz": ("lipschitz", (_HALF,) * 4, _ALL),
+    "hurwitz": ("lipschitz", (HALF,) * 4, _ALL),
     "hurwitz_duals": (None, (_HALF_SQRT2, _HALF_SQRT2, ZERO, ZERO), _ALL),
-    "icosians": ("hurwitz", (ZERO, TAU * _HALF, _HALF, SIGMA * _HALF), _EVEN),
+    "icosians": ("hurwitz", (ZERO, TAU * HALF, HALF, SIGMA * HALF), _EVEN),
 }
 
 

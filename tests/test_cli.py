@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -276,25 +277,33 @@ def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
     assert path.read_text(encoding="utf-8") == want
 
 
-def test_verify_table_does_not_load_the_clifford_algebra():
+def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
     # the pipeline is quaternion code: a fresh, isolated interpreter that
-    # runs the whole table never imports the Clifford oracle, nor
-    # dataclasses and the inspect it pulls in; -B, since -I ignores
-    # PYTHONDONTWRITEBYTECODE, so the run leaves no __pycache__ in src/
+    # runs the whole table and writes the H3 roots as JSON never imports
+    # the Clifford oracle, nor dataclasses and the inspect it pulls in,
+    # nor fractions and its decimal, as the field formats its own integer
+    # coordinates; -B, since -I ignores PYTHONDONTWRITEBYTECODE, so the
+    # run leaves no __pycache__ in src/
+    path = tmp_path / "h3.json"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from spinroots.cli import main; "
-            "status = main(['verify-table']); "
+            "status = main(['verify-table']) "
+            "or main(['roots', 'h3', '--json', sys.argv[2]]); "
             "print(*sorted(sys.modules), file=sys.stderr); "
             "sys.exit(status)")
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code, _src()],
+        [sys.executable, "-I", "-S", "-B", "-c", code, _src(), str(path)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     loaded = proc.stderr.split()
     assert "spinroots.spingroup" in loaded
     assert "spinroots.clifford" not in loaded
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded
+    for module in ("dataclasses", "inspect", "fractions", "decimal"):
+        assert module not in loaded
+    index = Path(__file__).resolve().parent / "golden" / "index.json"
+    recorded = next(e["json_sha256"] for e in json.loads(index.read_text())
+                    if e["json"] and e["argv"] == ["roots", "h3"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
 
 
 def test_no_module_uses_dataclasses():

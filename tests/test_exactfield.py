@@ -12,9 +12,11 @@ import pytest
 
 from helpers import rand_nonzero_scalar, rand_scalar
 from spinroots import cli, coxeter, quaternion, spingroup
-from spinroots.exactfield import (ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU, ZERO,
-                                  FieldScalar, apply, exact_sorted, from_ints,
-                                  linear_map, to_ints)
+from spinroots.clifford import Multivector
+from spinroots.exactfield import (HALF, ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU,
+                                  ZERO, FieldScalar, apply, exact_sorted,
+                                  from_ints, linear_map, to_ints)
+from spinroots.quaternion import Quaternion
 
 
 def test_tau_sigma_encodings():
@@ -387,6 +389,104 @@ def test_json_components_reduced_separately():
     assert x.to_json() == ["1/6", "2/3", "-3/4", "5/1"]
     assert (x.a, x.b, x.c, x.d) == (Fraction(1, 6), Fraction(2, 3),
                                     Fraction(-3, 4), Fraction(5))
+
+
+def _reference_str(x) -> str:
+    """str(x) from the Fraction components, as the field once formatted
+    it."""
+    for value, name in ((TAU, "τ"), (-TAU, "-τ"),
+                        (SIGMA, "σ"), (-SIGMA, "-σ")):
+        if x == value:
+            return name
+    terms = []
+    for coef, label in ((x.a, ""), (x.b, "√2"), (x.c, "√5"), (x.d, "√10")):
+        if not coef:
+            continue
+        mag = abs(coef)
+        body = (label if mag == 1 else f"{mag}·{label}") if label \
+            else str(mag)
+        if not terms:
+            terms.append(body if coef > 0 else f"-{body}")
+        else:
+            terms.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(terms) if terms else "0"
+
+
+def test_formatting_matches_the_fraction_components():
+    # str, repr and to_json are read off the integer tuple; the reference
+    # formats the lowest-terms Fractions that a-d return
+    rng = random.Random(83)
+    values = [TAU, -TAU, SIGMA, -SIGMA, ZERO, ONE, -ONE, TAU + 1, -SIGMA * 2]
+    while len(values) < 1200:
+        values.append(FieldScalar(*(
+            rng.choice((0, rng.randint(-12, 12),
+                        Fraction(rng.randint(-40, 40), rng.randint(1, 30))))
+            for _ in range(4))))
+    assert sum(x == ZERO for x in values) > 1
+    for x in values:
+        parts = (x.a, x.b, x.c, x.d)
+        assert all(type(f) is Fraction for f in parts)
+        assert x.to_json() == [f"{f.numerator}/{f.denominator}"
+                               for f in parts]
+        assert repr(x) == f"FieldScalar({', '.join(map(str, parts))})"
+        assert str(x) == _reference_str(x)
+
+
+# -- the rational protocol -----------------------------------------------------
+
+_ACCEPTED = {1: ONE, True: ONE, False: ZERO, Fraction(-2, 6): -ONE / 3,
+             "1/2": ONE / 2, "0.5": ONE / 2, "-3": -3 * ONE}
+_REJECTED = {0.5: TypeError, Decimal("0.5"): TypeError, None: TypeError,
+             "1/0": ZeroDivisionError, "1/-2": ValueError}
+
+
+def test_constructor_and_json_take_exact_rationals():
+    for r, value in _ACCEPTED.items():
+        assert FieldScalar(r) == value
+        assert FieldScalar(0, r) == value * SQRT2
+        assert FieldScalar.from_json([0, 0, 0, r]) == value * SQRT10
+    for r, error in _REJECTED.items():
+        with pytest.raises(error):
+            FieldScalar(r)
+        with pytest.raises(error):
+            FieldScalar(0, 0, r)
+        with pytest.raises(error):
+            FieldScalar.from_json([r, 0, 0, 0])
+
+
+def test_arithmetic_takes_numbers_on_either_side():
+    x = FieldScalar(1, -2, Fraction(1, 3), 5)
+    for r in (3, True, Fraction(-2, 7)):
+        f = FieldScalar(r)
+        assert x * r == r * x == x * f
+        assert x + r == r + x == x + f
+        assert x - r == x - f
+        assert x / r == x / f and r / x == f / x
+        assert (x == r) == (x == f) and (x < r) == (x < f)
+    assert FieldScalar(3) == 3 and HALF == Fraction(1, 2)
+    for r in ("1/2", 0.5, Decimal("0.5"), None):
+        for op in (lambda: x * r, lambda: r * x, lambda: x + r,
+                   lambda: x - r, lambda: x / r, lambda: x < r):
+            with pytest.raises(TypeError):
+                op()
+        assert x != r
+
+
+def test_quaternions_and_multivectors_scale_by_exact_rationals():
+    q = Quaternion(1, TAU, -2, SIGMA)
+    m = Multivector([1, 0, TAU, 0, 0, SQRT2, 0, -3])
+    third = FieldScalar(Fraction(1, 3))
+    assert q * Fraction(1, 3) == Quaternion(*(c * third
+                                              for c in q.components))
+    assert m * Fraction(1, 3) == Multivector([c * third
+                                              for c in m.components])
+    assert q * 2 == q + q and m * True == m and q * TAU == Quaternion(
+        *(c * TAU for c in q.components))
+    for r in (0.5, "1/2", None):
+        for op in (lambda: q * r, lambda: r * q, lambda: m * r,
+                   lambda: r * m):
+            with pytest.raises(TypeError):
+                op()
 
 
 def _outputs():
