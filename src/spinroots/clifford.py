@@ -63,6 +63,9 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Multivector is immutable")
+
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented

@@ -21,7 +21,7 @@ reflection formula, applied by the shared ``exactfield.apply``.
 from __future__ import annotations
 
 from .exactfield import (HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar,
-                         apply, exact_sorted, from_ints, linear_map, to_ints)
+                         apply, exact_sorted, from_keys, linear_map, to_ints)
 
 Root = tuple[FieldScalar, ...]
 
@@ -249,7 +249,7 @@ def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
     roots = accrete(((to_ints(alpha), alpha) for alpha in simple.roots),
                     _reflection, apply, cap, "orbit closure")
     return RootSystem(simple.group, rank,
-                      tuple(exact_sorted([from_ints(*k) for k in roots])))
+                      tuple(exact_sorted(from_keys(roots))))
 
 
 class Certificate(Record):

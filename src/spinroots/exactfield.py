@@ -20,7 +20,13 @@ string input and the ``a``-``d`` components, and imports it when called,
 so the pipeline never loads ``fractions`` or its ``decimal``.  A
 field-linear map is a sparse integer matrix on these coordinates, read
 off its images of the unit vectors (``linear_map``), and ``apply`` is the
-kernel of every closure, of reflections and of versor products.
+kernel of every closure, of reflections and of versor products.  A
+closure's integer keys come back in one batch (``from_keys``, which
+``from_ints`` calls for one key): a memo local to the call builds one
+FieldScalar per distinct coordinate tuple, and keeps nothing between
+calls.  ``squares_sum_to_one`` decides a unit norm on the integer tuples,
+with the product's numerators from ``_times``, the one place the
+multiplication formula is written.
 """
 
 from __future__ import annotations
@@ -77,6 +83,18 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> FieldScalar:
     x = _new(FieldScalar)
     _setattr(x, "_v", (a, b, c, d, den))
     return x
+
+
+def _times(v1, v2) -> tuple[int, int, int, int]:
+    """The numerators a, b, c, d of the product of two integer tuples
+    (a, b, c, d, den), over the product of their denominators."""
+    a1, b1, c1, d1, _ = v1
+    a2, b2, c2, d2, _ = v2
+    # sqrt2*sqrt2=2, sqrt5*sqrt5=5, sqrt2*sqrt5=sqrt10, sqrt10*sqrt10=10
+    return (a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
+            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
 
 
 @total_ordering
@@ -161,16 +179,8 @@ class FieldScalar:
         v1, v2 = self._v, other._v
         if v1 == _ZERO_V or v2 == _ZERO_V:
             return ZERO
-        a1, b1, c1, d1, n1 = v1
-        a2, b2, c2, d2, n2 = v2
-        # sqrt2*sqrt2=2, sqrt5*sqrt5=5, sqrt2*sqrt5=sqrt10, sqrt10*sqrt10=10
-        return _make(
-            a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
-            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-            n1 * n2,
-        )
+        a, b, c, d = _times(v1, v2)
+        return _make(a, b, c, d, v1[4] * v2[4])
 
     __rmul__ = __mul__
 
@@ -375,10 +385,49 @@ def to_ints(xs) -> tuple[tuple[int, ...], int]:
     return tuple([n * (den // v[4]) for v in vs for n in v[:4]]), den
 
 
+def from_keys(keys) -> list[tuple[FieldScalar, ...]]:
+    """``from_ints`` of each (ints, den) key, in order, with one object
+    per distinct value: a memo local to the call maps each coordinate
+    tuple, as given and as reduced, to its FieldScalar, so a value that
+    recurs is neither reduced nor built again."""
+    made = {}
+    out = []
+    for ints, den in keys:
+        row = []
+        it = iter(ints)
+        for v in zip(it, it, it, it):
+            v += (den,)
+            x = made.get(v)
+            if x is None:
+                x = _make(*v)
+                x = made[v] = made.setdefault(x._v, x)
+            row.append(x)
+        out.append(tuple(row))
+    return out
+
+
 def from_ints(ints, den: int) -> tuple[FieldScalar, ...]:
     """The FieldScalars whose coordinates over ``den > 0`` are ``ints``,
     four to a scalar; the inverse of ``to_ints``."""
-    return tuple(_make(*ints[i:i + 4], den) for i in range(0, len(ints), 4))
+    return from_keys(((ints, den),))[0]
+
+
+def squares_sum_to_one(xs) -> bool:
+    """Whether the squares of the FieldScalars xs sum to 1, decided on
+    their integer tuples over the least common denominator D of the
+    nonzero ones: the squares' numerators (``_times``), each scaled by
+    (D / den)^2, must sum to (D^2, 0, 0, 0).  No FieldScalar is built."""
+    vs = [x._v for x in xs if x._v != _ZERO_V]
+    den = lcm(*[v[4] for v in vs])
+    a = b = c = d = 0
+    for v in vs:
+        pa, pb, pc, pd = _times(v, v)
+        s = (den // v[4]) ** 2
+        a += pa * s
+        b += pb * s
+        c += pc * s
+        d += pd * s
+    return a == den * den and not (b or c or d)
 
 
 def linear_map(f, n: int):

@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .coxeter import dot
-from .exactfield import HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar
+from .exactfield import (HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar,
+                         squares_sum_to_one)
 
 
 class Quaternion:
@@ -30,6 +31,9 @@ class Quaternion:
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Quaternion is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Quaternion is immutable")
 
     def __add__(self, other):
@@ -85,7 +89,8 @@ class Quaternion:
         return not self.components[0]
 
     def is_unit(self) -> bool:
-        return self.norm_sq() == ONE
+        """norm_sq() == 1, decided on the components' integer tuples."""
+        return squares_sum_to_one(self.components)
 
     # -- io -------------------------------------------------------------------
 

@@ -15,8 +15,11 @@ multiplication by a generator is the sparse integer matrix that
 ``exactfield.linear_map`` reads off the Hamilton product, so a step is
 one sparse product and one gcd, the kernel that reflections share
 (``exactfield.apply``), in the closure that the orbit of roots shares
-(``coxeter.accrete``).  The result is sorted once, each parity by
-(q0, q3, q1, q2): the output order that the golden files fix.
+(``coxeter.accrete``).  The closed keys become FieldScalars in one batch
+(``exactfield.from_keys``), one object per distinct component value, and
+are sorted once, each parity by (q0, q3, q1, q2): the output order that
+the golden files fix.  Every versor's unit norm is checked on its
+components' integer tuples (``Quaternion.is_unit``).
 A unit versor's transformation is fixed by the rotation of R, whose order
 follows from its scalar part q0 = cos theta (``coxeter.rotation_order``),
 so the census needs no matrices.
@@ -28,7 +31,7 @@ from collections import Counter
 
 from .coxeter import (Record, RootSystem, SimpleRoots, accrete, dot,
                       orbit_closure, rotation_order, verify_root_system)
-from .exactfield import (ONE, ZERO, apply, exact_sorted, from_ints,
+from .exactfield import (ONE, ZERO, apply, exact_sorted, from_keys,
                          linear_map, to_ints)
 from .quaternion import Quaternion, catalog
 
@@ -84,8 +87,8 @@ def _mulclose(seed, cap: int):
                         for p, q in seed),
                        lambda pq: _generator(*pq), _step, cap)
     halves = ([], [])
-    for odd, coords, den in elements:
-        q0, q1, q2, q3 = from_ints(coords, den)
+    for (odd, _, _), (q0, q1, q2, q3) in zip(
+            elements, from_keys(e[1:] for e in elements)):
         halves[odd].append((q0, q3, q1, q2))
     return tuple((odd, Quaternion(q0, q1, q2, q3))
                  for odd, half in enumerate(halves)

@@ -237,3 +237,13 @@ def test_every_pure_parity_element_acts_as_versor():
 def test_str_smoke():
     assert str(ONE + I * TAU) == "1 + τ·I"
     assert str(scalar(0)) == "0"
+
+
+def test_multivector_is_immutable():
+    m = Multivector(range(8))
+    for name in ("components", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m == Multivector(range(8))

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_nonzero_scalar, rand_scalar
+from helpers import rand_nonzero_scalar, rand_scalar, rand_sparse_scalar
 from spinroots import cli, coxeter, quaternion, spingroup
 from spinroots.clifford import Multivector
 from spinroots.exactfield import (HALF, ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU,
                                   ZERO, FieldScalar, apply, exact_sorted,
-                                  from_ints, linear_map, to_ints)
+                                  from_ints, from_keys, linear_map,
+                                  squares_sum_to_one, to_ints)
 from spinroots.quaternion import Quaternion
 
 
@@ -211,6 +212,105 @@ def test_integer_coordinates_round_trip():
     assert to_ints((ZERO,)) == ((0, 0, 0, 0), 1)
     assert to_ints((ONE / 2, SQRT10)) == ((1, 0, 0, 0, 0, 0, 0, 2), 2)
     assert from_ints((3, 0, 6, 0), 6) == (FieldScalar(Fraction(1, 2), 0, 1),)
+
+
+def test_from_keys_builds_one_object_per_value():
+    # each key converts as from_ints converts it alone, read here through
+    # Fractions; equal values share one object even when their keys hold
+    # them unreduced over different denominators
+    rng = random.Random(53)
+    keys = []
+    for _ in range(200):
+        n = rng.choice((1, 4))
+        xs = tuple(rand_sparse_scalar(rng, 3) for _ in range(n))
+        ints, den = to_ints(xs)
+        k = rng.choice((1, 1, 2, 6))
+        keys.append((tuple(n * k for n in ints), den * k))
+    rows = from_keys(keys)
+    assert len(rows) == len(keys)
+    for (ints, den), row in zip(keys, rows):
+        assert row == from_ints(ints, den) == tuple(
+            FieldScalar(*(Fraction(n, den) for n in ints[i:i + 4]))
+            for i in range(0, len(ints), 4))
+        assert all(math.gcd(*x._v) == 1 for x in row)
+    values = [x for row in rows for x in row]
+    assert len({id(x) for x in values}) == len(set(values)) < len(values)
+    assert from_keys([]) == []
+
+
+def _rational_unit_quaternion(rng):
+    """p p / |p|^2 for a random nonzero integer quaternion p."""
+    while True:
+        p = Quaternion(*(rng.randint(-4, 4) for _ in range(4)))
+        if p.components != (ZERO,) * 4:
+            return p * p * p.norm_sq().inverse()
+
+
+def _unit_tuple(rng, n, units):
+    """n FieldScalars whose squares sum to 1, with zero entries and
+    rational, sqrt2, sqrt5 and sqrt10 parts among them."""
+    if n == 1:
+        return (rng.choice((ONE, -ONE)),)
+    if n == 2:
+        a, b = rng.randint(0, 6), rng.randint(1, 6)
+        c, s = (FieldScalar(Fraction(a * a - b * b, a * a + b * b)),
+                FieldScalar(Fraction(2 * a * b, a * a + b * b)))
+        if rng.random() < 0.5:  # turned by 45 degrees
+            c, s = (c - s) * SQRT2 * HALF, (c + s) * SQRT2 * HALF
+        return (c, s)
+    u = _rational_unit_quaternion(rng)
+    for _ in range(rng.randint(0, 2)):
+        u = u * rng.choice(units)
+    if n == 3:  # u turns e1 to a unit pure quaternion
+        return (u * Quaternion(0, 1) * u.conjugate()).components[1:]
+    return u.components
+
+
+def test_squares_sum_to_one_agrees_with_the_field_product():
+    # oracle: dot(x, x) == 1 in FieldScalar arithmetic, on exact units
+    # (products of rational, Hurwitz-dual and icosian units, and turned
+    # Pythagorean pairs), units with one entry perturbed, and random
+    # tuples with mixed denominators and zero entries
+    rng = random.Random(61)
+    units = sorted(quaternion.catalog("icosians")
+                   | quaternion.catalog("hurwitz_duals"),
+                   key=lambda q: q.components)
+    verdicts = []
+    parts = set()
+    for i in range(1000):
+        n = 1 + i % 4
+        kind = rng.choice(("unit", "unit", "perturbed", "random"))
+        if kind == "random":
+            pick = rng.choice((rand_sparse_scalar, rand_scalar))
+            xs = tuple(pick(rng, 5) for _ in range(n))
+        else:
+            xs = list(_unit_tuple(rng, n, units))
+            rng.shuffle(xs)
+            if kind == "perturbed":
+                j = rng.randrange(n)
+                xs[j] = rng.choice((xs[j].conj_sqrt2(), xs[j].conj_sqrt5(),
+                                    xs[j] + FieldScalar(Fraction(1, 7)),
+                                    xs[j] * TAU))
+            xs = tuple(xs)
+        want = coxeter.dot(xs, xs) == ONE
+        assert squares_sum_to_one(xs) is want
+        verdicts.append(want)
+        if want:
+            parts.update(m for x in xs for m in range(4) if x._v[m])
+    assert verdicts.count(True) > 400 and verdicts.count(False) > 300
+    assert parts == {0, 1, 2, 3}
+    assert squares_sum_to_one((FieldScalar(Fraction(3, 5)),
+                               FieldScalar(Fraction(4, 5))))
+    assert squares_sum_to_one((HALF,) * 4)
+    third, quarter = ONE / 3, ONE / 4
+    for near in (((ONE + 2 * SQRT2) * third,), ((2 + SQRT5) * third,),
+                 (3 * quarter, (SQRT2 + SQRT5) * quarter)):
+        # squares summing to 1 plus a sqrt2, sqrt5 or sqrt10 part
+        assert not squares_sum_to_one(near)
+        assert (coxeter.dot(near, near) - ONE).approx() > 0
+    assert not squares_sum_to_one((HALF,) * 3)
+    assert not squares_sum_to_one((ZERO,) * 4)
+    assert not squares_sum_to_one(())
 
 
 def _grid_map(grid):

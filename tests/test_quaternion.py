@@ -13,6 +13,7 @@ from helpers import (multivectors, rand_multivector, rand_scalar,
 from spinroots.clifford import (E1, E2, E3, I, ONE, Multivector,
                                 from_spinor, to_spinor, versor_blades,
                                 versor_pair)
+from spinroots.exactfield import ONE as F_ONE
 from spinroots.exactfield import FieldScalar
 from spinroots.quaternion import Quaternion, apply_pq, catalog
 
@@ -236,3 +237,31 @@ def test_json_round_trip():
     for _ in range(50):
         q = rand_quaternion(rng)
         assert Quaternion.from_json(q.to_json()) == q
+
+
+def test_is_unit_agrees_with_norm_sq():
+    # the integer check of is_unit against norm_sq in field arithmetic:
+    # catalog units and their products with random quaternions, which are
+    # units only when the random factor is
+    rng = random.Random(109)
+    units = sorted(catalog("icosians") | catalog("hurwitz_duals"),
+                   key=lambda q: q.components)
+    verdicts = []
+    for _ in range(300):
+        q = rng.choice(units) * rng.choice(units)
+        if rng.random() < 0.5:
+            q = q * rand_quaternion(rng, 2)
+        want = q.norm_sq() == F_ONE
+        assert q.is_unit() is want
+        verdicts.append(want)
+    assert 50 < verdicts.count(True) < 250
+
+
+def test_quaternion_is_immutable():
+    q = Quaternion(1, 2, 3, 4)
+    for name in ("components", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, None)
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert q == Quaternion(1, 2, 3, 4) and hash(q) == hash(q.components)

@@ -500,6 +500,27 @@ def test_versor_group_rejects_non_unit_versors(closures, monkeypatch):
             generate_versor_group(closures["a1x3"])
 
 
+def test_versor_closures_share_one_object_per_value(closures, monkeypatch):
+    # the closure's keys are converted in one batch: one FieldScalar per
+    # distinct component value (9 for H3), and the same elements, in the
+    # same order, as converting each key alone through Fractions
+    def per_key(keys):
+        return [tuple(FieldScalar(*(Fraction(n, den) for n in ints[i:i + 4]))
+                      for i in range(0, len(ints), 4)) for ints, den in keys]
+
+    simple = simple_roots("h3")
+    groups = (generate_versor_group(closures["h3"]), generate_from_two(simple))
+    for vg in groups:
+        comps = [x for _, q in vg.elements for x in q.components]
+        assert len({id(x) for x in comps}) == len(set(comps)) == 9
+    monkeypatch.setattr(spingroup, "from_keys", per_key)
+    again = (generate_versor_group(closures["h3"]), generate_from_two(simple))
+    assert again == groups
+    for vg in again:  # per_key shares nothing, so it did the conversion
+        assert len({id(x) for _, q in vg.elements
+                    for x in q.components}) == 4 * len(vg)
+
+
 def test_pure_check_standalone(closures):
     res = check_pure_quaternion_subrootsystem(
         closures["a3"], generate_versor_group(closures["a3"]))
