@@ -13,15 +13,16 @@ axiom 2, which ``verify_root_system`` checks in O(n |G|) reflections, not
 n^2.  Axiom 1 keys each root by its direction, scaled so its first nonzero
 entry is 1.  ``accrete`` is the one closure, of the orbit, of axiom 2
 and of ``spingroup``'s versors: a seed closed under generators taken from
-it.  Roots are closed on integer keys (``exactfield.to_ints``): s_alpha
-is the integer matrix that ``exactfield.linear_map`` reads off the
-reflection formula, applied by the shared ``exactfield.apply``.
+it, on classes {x, -x}.  Roots are closed on integer keys: s_alpha is the
+integer matrix that ``exactfield.linear_map`` reads off the reflection
+formula, applied by the shared ``exactfield.apply``.
 """
 
 from __future__ import annotations
 
 from .exactfield import (HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar,
-                         apply, exact_sorted, from_keys, linear_map, to_ints)
+                         apply, class_key, exact_sorted, from_keys,
+                         linear_map, to_ints)
 
 Root = tuple[FieldScalar, ...]
 
@@ -34,36 +35,48 @@ class CapExceeded(ValueError):
     """A closure ran past its cap, as on malformed input."""
 
 
-def accrete(seeds, generator, step, cap: int, what: str = "closure") -> set:
-    """The smallest set of keys holding the seeds' keys and closed under
-    ``step(g, key)`` for the generators g of the seeds it holds.
+def accrete(seeds, generator, step, cap: int, what: str = "closure"):
+    """The smallest set of classes {x, -x} holding the seeds' classes and
+    closed under ``step(g, key)`` for the generators g of the seeds it
+    holds, as a dict from class keys to the sign first reached, and
+    whether a class was met with both signs: in a group, that puts -1 in
+    it, and otherwise the signed keys are closed, so they are the group.
 
-    ``seeds`` are (key, x) pairs, taken in order.  A seed already inside
-    the closure is skipped and its generator never built; any other seed
-    adds its key and the generator ``generator(x)``.  The old closure is
-    closed under the old generators, so it meets the new generator only,
-    and each new key meets all of them: each key meets each generator
-    once.  More than ``cap`` keys, seeds or images, raise CapExceeded.
+    ``seeds`` are (key, sign, x) triples, taken in order; ``step`` gives
+    (key, sign).  A seed whose class is inside is skipped and its generator
+    never built; any other adds its class and ``generator(x)``.  The old
+    closure is closed under the old generators, so it meets the new
+    generator only, and each new class meets all of them: each class meets
+    each generator once.  Once -1 is in, a class counts as two elements;
+    more than ``cap`` raise CapExceeded.
     """
-    closure: set = set()
+    closure: dict = {}
     gens: list = []
-    for key, x in seeds:
+    both = False
+    for key, sign, x in seeds:
         if key in closure:
+            both = both or closure[key] != sign
             continue
         gens.append(generator(x))
         work = [(k, gens[-1:]) for k in closure] + [(key, gens)]
-        closure.add(key)
+        closure[key] = sign
         while work:
             # each addition pushes work, so this sees every one
-            if len(closure) > cap:
+            if len(closure) * (1 + both) > cap:
                 raise CapExceeded(f"{what} exceeded cap of {cap} elements")
             k, using = work.pop()
+            sign = closure[k]
             for g in using:
-                image = step(g, k)
-                if image not in closure:
-                    closure.add(image)
+                image, s = step(g, k)
+                first = closure.get(image)
+                if first is None:
+                    closure[image] = s * sign
                     work.append((image, gens))
-    return closure
+                elif first != s * sign:
+                    both = True
+    if len(closure) * (1 + both) > cap:  # both set with no addition after
+        raise CapExceeded(f"{what} exceeded cap of {cap} elements")
+    return closure, both
 
 
 class Record:
@@ -239,17 +252,18 @@ class RootSystem(Record):
 
 def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
     """Orbit of the simple roots (and negatives, s_a a = -a) under their
-    reflections, by ``accrete``; the module docstring says why it is
-    closed under reflection in every member.  The result is stored sorted.
+    reflections, by ``accrete`` on classes {a, -a} (s_a(-l) = -s_a(l)),
+    each unfolded into both roots; the module docstring says why it is
+    closed under reflection in every member.  The result is stored sorted;
     ``cap`` guards against non-terminating closures of malformed input.
     """
     if not simple.roots:
         raise ValueError("need at least one simple root")
     rank = _rank(simple.roots)
-    roots = accrete(((to_ints(alpha), alpha) for alpha in simple.roots),
-                    _reflection, apply, cap, "orbit closure")
-    return RootSystem(simple.group, rank,
-                      tuple(exact_sorted(from_keys(roots))))
+    classes, _ = accrete(((*class_key(to_ints(a)), a) for a in simple.roots),
+                         _reflection, apply, cap, "orbit closure")
+    keys = [*classes, *((tuple([-n for n in i]), d) for i, d in classes)]
+    return RootSystem(simple.group, rank, tuple(exact_sorted(from_keys(keys))))
 
 
 class Certificate(Record):
@@ -282,11 +296,12 @@ def verify_root_system(rs: RootSystem) -> Certificate:
     holds one root and its negative.  Axiom 2: the set is invariant under
     reflection in each of its members.
 
-    Axiom 2 is checked by generators: ``accrete`` closes the roots, in
-    order, under the reflections in those it takes as generators, capped
-    at the set's size.  If no image escapes, the set is W_G G for the
-    group W_G of the generators' reflections, so each member is
-    beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
+    Axiom 2 is checked by generators: ``accrete`` closes the classes
+    {beta, -beta} (axiom 1 found every -beta, s_a(-l) = -s_a(l) and
+    s_-a = s_a), in order, under the reflections in those it takes as
+    generators, capped at the set's size.  If no image escapes, the set is
+    W_G G for the group W_G of the generators' reflections, so each member
+    is beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
     into itself: axiom 2 holds, with O(n |G|) reflections.  An escaped
     image joins the whole set in the closure, so the cap is crossed
     exactly when axiom 2 fails; only then are the roots scanned for a
@@ -316,12 +331,13 @@ def verify_root_system(rs: RootSystem) -> Certificate:
                                    "scalar multiple beyond +-root present")
         bucket.append(beta)
     try:
-        accrete(root_of.items(), _reflection, apply, len(root_of))
+        accrete(((*class_key(key), beta) for key, beta in root_of.items()),
+                _reflection, apply, len(root_of))
     except CapExceeded:
         for alpha in roots:
             s_alpha = _reflection(alpha)
             for key, lam in root_of.items():
-                if apply(s_alpha, key) not in root_of:
+                if apply(s_alpha, key)[0] not in root_of:
                     return Certificate(False, 2, (alpha, lam),
                                        "reflection image escapes the set")
         raise  # unreachable: a crossed cap means an image escaped

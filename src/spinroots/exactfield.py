@@ -19,8 +19,8 @@ the integer tuple.  Only ``_fraction`` names ``fractions.Fraction``, for
 string input and the ``a``-``d`` components, and imports it when called,
 so the pipeline never loads ``fractions`` or its ``decimal``.  A
 field-linear map is a sparse integer matrix on these coordinates, read
-off its images of the unit vectors (``linear_map``), and ``apply`` is the
-kernel of every closure, of reflections and of versor products.  A
+off its images of the unit vectors (``linear_map``), and ``apply``, the
+kernel of every closure, gives an image's class {x, -x} and sign.  A
 closure's integer keys come back in one batch (``from_keys``, which
 ``from_ints`` calls for one key): a memo local to the call builds one
 FieldScalar per distinct coordinate tuple, and keeps nothing between
@@ -454,10 +454,18 @@ def linear_map(f, n: int):
     return tuple(map(tuple, cols)), den
 
 
-def apply(matrix, key) -> tuple[tuple[int, ...], int]:
-    """The key (ints, den) mapped by the matrix (cols, mden) of
-    ``linear_map`` in one sparse product and one gcd, reduced as by
-    ``to_ints``; a negative ``mden`` negates the image."""
+def class_key(key):
+    """(class key, sign) of a key (ints, den): x = sign times the key of
+    whichever of x and -x has a positive first nonzero coordinate."""
+    if next(filter(None, key[0]), 0) < 0:
+        return (tuple([-n for n in key[0]]), key[1]), -1
+    return key, 1
+
+
+def apply(matrix, key):
+    """``class_key`` of the image of a key (ints, den) under the matrix
+    (cols, mden) of ``linear_map``: one sparse product and one gcd, signed
+    as the lead coordinate; a negative ``mden`` negates the image."""
     (cols, mden), (ints, den) = matrix, key
     out = [0] * len(cols)
     for x, col in zip(ints, cols):
@@ -466,9 +474,10 @@ def apply(matrix, key) -> tuple[tuple[int, ...], int]:
                 out[row] += x * v
     den *= mden
     g = gcd(*out, den)
-    if den < 0:
+    if next(filter(None, out), 0) < 0:
         g = -g
-    return tuple([n // g for n in out]), den // g
+    den //= g
+    return (tuple([n // g for n in out]), abs(den)), 1 if den > 0 else -1
 
 
 def exact_sorted(rows: list) -> list:

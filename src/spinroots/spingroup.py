@@ -14,15 +14,15 @@ coordinates over one denominator (``exactfield.to_ints``).  Left
 multiplication by a generator is the sparse integer matrix that
 ``exactfield.linear_map`` reads off the Hamilton product, so a step is
 one sparse product and one gcd, the kernel that reflections share
-(``exactfield.apply``), in the closure that the orbit of roots shares
-(``coxeter.accrete``).  The closed keys become FieldScalars in one batch
-(``exactfield.from_keys``), one object per distinct component value, and
-are sorted once, each parity by (q0, q3, q1, q2): the output order that
-the golden files fix.  Every versor's unit norm is checked on its
-components' integer tuples (``Quaternion.is_unit``).
-A unit versor's transformation is fixed by the rotation of R, whose order
-follows from its scalar part q0 = cos theta (``coxeter.rotation_order``),
-so the census needs no matrices.
+(``exactfield.apply``), in the closure on classes {v, -v} that roots
+share (``coxeter.accrete``).  The closed keys become FieldScalars in one
+batch (``exactfield.from_keys``), one object per distinct component
+value, and are sorted once, each parity by (q0, q3, q1, q2): the output
+order that the golden files fix.  Every versor's unit norm is checked on
+its components' integer tuples (``Quaternion.is_unit``).  A unit versor's
+transformation is fixed by the rotation of R, whose order follows from
+its scalar part q0 = cos theta (``coxeter.rotation_order``), so the
+census needs no matrices.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from collections import Counter
 
 from .coxeter import (Record, RootSystem, SimpleRoots, accrete, dot,
                       orbit_closure, rotation_order, verify_root_system)
-from .exactfield import (ONE, ZERO, apply, exact_sorted, from_keys,
-                         linear_map, to_ints)
+from .exactfield import (ONE, ZERO, apply, class_key, exact_sorted,
+                         from_keys, linear_map, to_ints)
 from .quaternion import Quaternion, catalog
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
@@ -63,11 +63,12 @@ def _generator(parity: int, q: Quaternion):
 
 
 def _step(gen, elem):
-    """The product of an element (a, coords, den) and a generator: its
-    matrix applied to coords, negated when both are odd, parities XORed."""
+    """(class key, sign) of a class key (a, coords, den) times a generator:
+    its matrix applied to coords, negated when both are odd, parities XORed."""
     b, cols, den_b = gen
     a, coords, den = elem
-    return (a ^ b, *apply((cols, -den_b if a & b else den_b), (coords, den)))
+    key, sign = apply((cols, -den_b if a & b else den_b), (coords, den))
+    return (a ^ b, *key), sign
 
 
 def _mulclose(seed, cap: int):
@@ -75,17 +76,21 @@ def _mulclose(seed, cap: int):
     closed under the geometric product: the even elements, then the odd,
     each half sorted by (q0, q3, q1, q2).
 
-    Each element is held as (parity, coords, den): the quaternion as its
-    reduced integer coordinates (``exactfield.to_ints``), so tuple
-    equality is exact.  Since I is central, (I^a R_A)(I^b R_B) =
+    A class {v, -v} is keyed (parity, coords, den) by the quaternion's
+    ``exactfield.class_key``.  Since I is central, (I^a R_A)(I^b R_B) =
     I^(a+b) R_A R_B, and R_A R_B has the quaternion q_B q_A, so a step
     multiplies q_A on the left by q_B (the matrix of ``_generator``), XORs
     the parities and negates when both are odd (I^2 = -1).  The seed
-    pairs, in the order given, are the seeds of ``coxeter.accrete``.
+    pairs' classes, in order, close by ``coxeter.accrete``, which certifies
+    whether -1 is in: then a class is both versors, else the one reached.
     """
-    elements = accrete((((p, *to_ints(q.components)), (p, q))
-                        for p, q in seed),
-                       lambda pq: _generator(*pq), _step, cap)
+    classes, minus_one = accrete(
+        (((p, *key), sign, (p, q)) for p, q in seed
+         for key, sign in [class_key(to_ints(q.components))]),
+        lambda pq: _generator(*pq), _step, cap)
+    elements = [(odd, ints if s > 0 else tuple([-n for n in ints]), den)
+                for (odd, ints, den), sign in classes.items()
+                for s in ((1, -1) if minus_one else (sign,))]
     halves = ([], [])
     for (odd, _, _), (q0, q1, q2, q3) in zip(
             elements, from_keys(e[1:] for e in elements)):

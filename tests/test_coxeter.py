@@ -71,7 +71,8 @@ def _coords(v) -> tuple[Fraction, ...]:
 def test_reflection_matrix_is_reflect_root(closures):
     # the integer matrix of s_alpha applied to the Fraction coordinates of
     # lam gives those of reflect_root(lam, alpha), and ``apply`` gives its
-    # integer key, over a reduced positive denominator
+    # integer key as a sign times a class key, over a reduced positive
+    # denominator
     rng = random.Random(83)
     pools = {n: [tuple(rand_sparse_scalar(rng) if sparse
                        else rand_nonzero_scalar(rng) for _ in range(n))
@@ -91,8 +92,9 @@ def test_reflection_matrix_is_reflect_root(closures):
             for row, v in col:
                 image[row] += x * v
         assert tuple(y / den for y in image) == _coords(want)
-        ints, d = apply((cols, den), to_ints(lam))
+        (ints, d), sign = apply((cols, den), to_ints(lam))
         assert d > 0 and math.gcd(*ints, d) == 1
+        ints = tuple(sign * n for n in ints)
         assert (ints, d) == to_ints(want)
         assert from_ints(ints, d) == want
 
@@ -237,12 +239,13 @@ def _add_mod(n):
     def generator(g):
         built.append(g)
         return g
-    return built, generator, lambda g, k: (k + g) % n
+    return built, generator, lambda g, k: ((k + g) % n, 1)
 
 
 def test_accrete_meets_each_key_with_each_generator_once():
-    # seeds in Z/n under addition: the closure is the subgroup of
-    # multiples of gcd(seeds, n), each key stepped once per generator
+    # seeds in Z/n under addition, each of sign 1: the closure is the
+    # subgroup of multiples of gcd(seeds, n), each key stepped once per
+    # generator, and no key is met with both signs
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(1, 40)
@@ -253,29 +256,59 @@ def test_accrete_meets_each_key_with_each_generator_once():
         def step(g, k):
             steps.append((g, k))
             return add(g, k)
-        closure = coxeter.accrete(((s, s) for s in seeds), generator, step,
-                                  cap=n)
+        closure, both = coxeter.accrete(((s, 1, s) for s in seeds),
+                                        generator, step, cap=n)
         d = math.gcd(*seeds, n)
-        assert closure == set(range(0, n, d))
+        assert closure == dict.fromkeys(range(0, n, d), 1) and not both
         assert len(steps) == len(set(steps)) == len(closure) * len(built)
 
 
 def test_accrete_builds_no_generator_for_a_seed_inside():
     built, generator, step = _add_mod(12)
-    closure = coxeter.accrete(((s, s) for s in (2, 4, 3, 6)), generator,
-                              step, cap=12)
-    assert closure == set(range(12))
+    closure, _ = coxeter.accrete(((s, 1, s) for s in (2, 4, 3, 6)),
+                                 generator, step, cap=12)
+    assert closure.keys() == set(range(12))
     assert built == [2, 3]
 
 
 def test_accrete_cap_counts_seed_additions():
     # identity generators add no image, so only the seeds cross the cap
-    seeds = [(k, k) for k in (1, 2, 3)]
-    assert coxeter.accrete(seeds, lambda x: x, lambda g, k: k, cap=3) == \
-        {1, 2, 3}
+    seeds = [(k, 1, k) for k in (1, 2, 3)]
+    assert coxeter.accrete(seeds, lambda x: x, lambda g, k: (k, 1),
+                           cap=3) == ({1: 1, 2: 1, 3: 1}, False)
     with pytest.raises(CapExceeded, match="^closure exceeded cap of 2 "
                                           "elements$"):
-        coxeter.accrete(seeds, lambda x: x, lambda g, k: k, cap=2)
+        coxeter.accrete(seeds, lambda x: x, lambda g, k: (k, 1), cap=2)
+
+
+def _signed_cyclic(n, s):
+    """The group that -z^s generates in {+-1} x Z/n, by powers."""
+    out, x = set(), (-1, s % n)
+    while x not in out:
+        out.add(x)
+        x = (-x[0], (x[1] + s) % n)
+    return out
+
+
+def test_accrete_certifies_minus_one_in_signed_cyclic_groups():
+    # the closure of the seed -z^s under multiplication by itself, on the
+    # classes {x, -x} of {+-1} x Z/n: -1 = (-1, 0) is in the group exactly
+    # when some class is met with both signs, and the classes unfolded by
+    # that flag are the group, with the cap counting its elements
+    for n in range(1, 13):
+        for s in range(n):
+            group = _signed_cyclic(n, s)
+            closure, both = coxeter.accrete(
+                [(s, -1, s)], lambda g: g,
+                lambda g, k: ((k + g) % n, -1), cap=len(group))
+            assert both == ((-1, 0) in group)
+            unfolded = {(sign, k) for k, first in closure.items()
+                        for sign in ((1, -1) if both else (first,))}
+            assert unfolded == group
+            with pytest.raises(CapExceeded):
+                coxeter.accrete([(s, -1, s)], lambda g: g,
+                                lambda g, k: ((k + g) % n, -1),
+                                cap=len(group) - 1)
 
 
 def test_roots_of_mixed_length_are_rejected():
@@ -524,10 +557,11 @@ def test_verify_axiom2_on_random_subsets(pipelines):
 def test_verify_reflects_the_old_orbit_in_the_new_generator_only(
         pipelines, monkeypatch):
     # the old orbit is reflected in each new generator and each new root in
-    # every generator, so each root meets each generator once: 48 x 5 on
-    # F4 and 120 x 4 on H4 (reflecting the whole orbit in every generator
-    # each time one is added takes 440 and 592).  The orbit closure of
-    # those generators gives the same roots in the same count.
+    # every generator, so each class {root, -root} meets each generator
+    # once: 24 x 5 on F4 and 60 x 4 on H4 (48 x 5 and 120 x 4 on roots,
+    # and 440 and 592 reflecting the whole orbit in every generator each
+    # time one is added).  The orbit closure of those generators gives the
+    # same roots in the same count.
     calls, gens = [], []
     original, reflection = coxeter.apply, coxeter._reflection
 
@@ -551,7 +585,7 @@ def test_verify_reflects_the_old_orbit_in_the_new_generator_only(
         calls.clear()
         assert orbit_closure(simple).roots == rank4.roots
         counts[g] = (len(simple.roots), verify_calls, len(calls))
-    assert counts == {"b3": (5, 240, 240), "h3": (4, 480, 480)}
+    assert counts == {"b3": (5, 120, 120), "h3": (4, 240, 240)}
 
 
 def test_verify_inverts_each_pivot_once(pipelines, monkeypatch):

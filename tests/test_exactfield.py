@@ -14,8 +14,8 @@ from helpers import rand_nonzero_scalar, rand_scalar, rand_sparse_scalar
 from spinroots import cli, coxeter, quaternion, spingroup
 from spinroots.clifford import Multivector
 from spinroots.exactfield import (HALF, ONE, SIGMA, SQRT2, SQRT5, SQRT10, TAU,
-                                  ZERO, FieldScalar, apply, exact_sorted,
-                                  from_ints, from_keys, linear_map,
+                                  ZERO, FieldScalar, apply, class_key,
+                                  exact_sorted, from_ints, from_keys, linear_map,
                                   squares_sum_to_one, to_ints)
 from spinroots.quaternion import Quaternion
 
@@ -327,20 +327,68 @@ def _random_grids(seed):
                             for _ in range(n)] for _ in range(n)]
 
 
+def _signed(key, sign):
+    """The key of sign times the class key ``key``."""
+    ints, den = key
+    return tuple(sign * n for n in ints), den
+
+
 def test_linear_map_is_the_field_product():
     # the integer matrix of a map x -> A x applied to the coordinates of x
-    # gives those of A x, over a reduced positive denominator; a negative
-    # matrix denominator negates the image
+    # gives those of A x, as a sign times a class key over a reduced
+    # positive denominator; a negative matrix denominator negates the image
     for rng, n, grid in _random_grids(41):
         x = tuple(rand_scalar(rng) for _ in range(n))
         want = _grid_map(grid)(x)
         cols, den = linear_map(_grid_map(grid), n)
         assert len(cols) == 4 * n and den > 0
-        ints, d = apply((cols, den), to_ints(x))
+        (ints, d), sign = apply((cols, den), to_ints(x))
         assert d > 0 and math.gcd(*ints, d) == 1
-        assert from_ints(ints, d) == want
-        assert apply((cols, -den), to_ints(x)) == \
+        assert from_ints(*_signed((ints, d), sign)) == want
+        assert _signed(*apply((cols, -den), to_ints(x))) == \
             to_ints(tuple(-y for y in want))
+
+
+def _lead(ints) -> int:
+    """The first nonzero coordinate, or 0."""
+    return next((n for n in ints if n), 0)
+
+
+def test_apply_returns_the_class_key_and_its_sign():
+    # on dense and sparse keys and matrices of either sign: sign times the
+    # class key is the image's key, and the class key is reduced over a
+    # positive denominator with a positive first nonzero coordinate, so x
+    # and -x share it; class_key gives a seed the same pair
+    rng = random.Random(47)
+    leads, signs = set(), set()
+    for _, n, grid in _random_grids(43):
+        cols, den = linear_map(_grid_map(grid), n)
+        for sparse in (True, False):
+            x = tuple((rand_sparse_scalar if sparse else rand_scalar)(rng)
+                      for _ in range(n))
+            for mden in (den, -den):
+                want = _grid_map(grid)(x)
+                if mden < 0:
+                    want = tuple(-y for y in want)
+                key, sign = apply((cols, mden), to_ints(x))
+                (ints, d), lead = key, _lead(key[0])
+                assert sign in (1, -1) and d > 0
+                assert math.gcd(*ints, d) == 1
+                assert _signed(key, sign) == to_ints(want)
+                if not any(ints):  # the zero image, of either sign
+                    assert key == to_ints(want)
+                    continue
+                assert lead > 0
+                assert class_key(to_ints(want)) == (key, sign)
+                assert class_key(to_ints(tuple(-y for y in want))) == \
+                    (key, -sign)
+                leads.add((_lead(to_ints(want)[0]) > 0, mden > 0))
+                signs.add(sign)
+    # negative and positive leading coordinates, from matrices of either
+    # sign, and both signs returned
+    assert leads == {(True, True), (True, False), (False, True),
+                     (False, False)}
+    assert signs == {1, -1}
 
 
 def test_linear_map_columns_are_the_images_of_the_basis_keys():

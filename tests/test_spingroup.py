@@ -373,10 +373,11 @@ def test_unit_normalizes_vectors():
 
 def test_closure_multiplies_each_element_by_each_generator_once(
         closures, monkeypatch):
-    # the closure so far is multiplied by a new generator only, so B3 and
-    # H3 (three generators each) take 96 x 3 and 240 x 3 closure steps
-    # (multiplying the whole closure by every generator each time one is
-    # added takes 322 and 762)
+    # the closure so far is multiplied by a new generator only, and each
+    # class {v, -v} stands for both its versors, so B3 and H3 (three
+    # generators each) take 48 x 3 and 120 x 3 closure steps (96 x 3 and
+    # 240 x 3 on versors; multiplying the whole closure by every generator
+    # each time one is added takes 322 and 762)
     calls = []
     original = spingroup._step
 
@@ -389,7 +390,7 @@ def test_closure_multiplies_each_element_by_each_generator_once(
     for g in ("b3", "h3"):
         calls.clear()
         counts[g] = (len(generate_versor_group(closures[g])), len(calls))
-    assert counts == {"b3": (96, 288), "h3": (240, 720)}
+    assert counts == {"b3": (96, 144), "h3": (240, 360)}
 
 
 def _rand_quaternion(rng, sparse: bool) -> Quaternion:
@@ -402,6 +403,7 @@ def _rand_quaternion(rng, sparse: bool) -> Quaternion:
 def test_generator_matrix_is_left_multiplication():
     # the integer matrix of q applied to the coordinates of p gives those
     # of q * p, and a step adds the parity, the negation and the reduction
+    # to a class key and its sign
     rng = random.Random(149)
     quats = [_rand_quaternion(rng, sparse) for sparse in (True, False) * 12]
     quats += [q for _, q in _turned_h3_versors().elements[::9]]
@@ -418,12 +420,12 @@ def test_generator_matrix_is_left_multiplication():
         product = quaternion_coords(q * p)
         assert tuple(y / den for y in image) == product
         a = rng.randint(0, 1)
-        odd, coords, h_den = spingroup._step((b, cols, den),
-                                             (a, *to_ints(p.components)))
+        (odd, coords, h_den), s = spingroup._step(
+            (b, cols, den), (a, *to_ints(p.components)))
         sign = -1 if a & b else 1
         assert odd == a ^ b
         assert h_den > 0 and math.gcd(*coords, h_den) == 1
-        assert tuple(Fraction(n, h_den) for n in coords) == \
+        assert tuple(Fraction(s * n, h_den) for n in coords) == \
             tuple(sign * y for y in product)
 
 
@@ -445,11 +447,34 @@ def _documented_order(versors):
                                         versor_blades(0, pq[1].components))))
 
 
+def _roots(*rows):
+    return tuple(tuple(map(FieldScalar, row)) for row in rows)
+
+
+# simple roots of A1xB2 (B2 in the plane x = 0) and of C3, of two lengths
+_A1XB2 = _roots((1, 0, 0), (0, 1, -1), (0, 0, 1))
+_C3 = _roots((1, -1, 0), (0, 1, -1), (0, 0, 2))
+
+
+def _record_minus_one(monkeypatch) -> list:
+    """The -1 flags of ``spingroup``'s closures, in the order closed."""
+    flags, accrete = [], spingroup.accrete
+
+    def recorded(*args):
+        classes, minus_one = accrete(*args)
+        flags.append(minus_one)
+        return classes, minus_one
+    monkeypatch.setattr(spingroup, "accrete", recorded)
+    return flags
+
+
 def test_mulclose_equals_plain_closure(closures, monkeypatch):
     # element for element and in the documented order, on the versor seeds
-    # and the two-generator seeds of the presets and of turned H3; the
-    # closures read these seeds' pairs off the roots' duals
+    # and the two-generator seeds of the presets, of turned H3, of A1xB2
+    # and of C3; the closures read these seeds' pairs off the roots' duals,
+    # and each certifies -1 exactly when it holds -1
     mulclose, seeds = spingroup._mulclose, []
+    flags = _record_minus_one(monkeypatch)
 
     def recorded(seed, cap):
         seeds.append(list(seed))
@@ -459,19 +484,62 @@ def test_mulclose_equals_plain_closure(closures, monkeypatch):
     turned, turned_rs = _turned_h3()
     cases = [(closures[g], simple_roots(g)) for g in EXPECTED_SPINORS]
     cases.append((turned_rs, turned))
+    for name, roots in (("a1xb2", _A1XB2), ("c3", _C3)):
+        simple = SimpleRoots(name, roots)
+        rs = orbit_closure(simple)
+        assert verify_root_system(rs).passed
+        cases.append((rs, simple))
     for rs, simple in cases:
         versor_seed = set(map(_unit_vector, rs.roots))
         two_seed = _two_generator_seed(simple)
         for seed in (versor_seed, two_seed):
-            assert mulclose(map(versor_pair, seed), cap=1000) == \
-                _documented_order(plain_closure(seed))
+            elements = mulclose(map(versor_pair, seed), cap=1000)
+            assert elements == _documented_order(plain_closure(seed))
+            assert flags[-1] == ((0, Quaternion(-1)) in elements)
         seeds.clear()
         generate_versor_group(rs)
         generate_from_two(simple)
         assert [set(s) for s in seeds] == [set(map(versor_pair, versor_seed)),
                                            set(map(versor_pair, two_seed))]
+    assert [len(rs) for rs, _ in cases[-2:]] == [10, 18]
     with pytest.raises(CapExceeded):
         generate_versor_group(turned_rs, cap=50)
+
+
+def test_groups_without_minus_one(monkeypatch):
+    # {1, v} for one odd unit root v (v^2 = 1), the cyclic group of order 3
+    # of the even seed q = -(1/2, 1/2, 1/2, 1/2), and the 6 elements seeded
+    # by q and -q, where the seed meets q's class with the other sign: each
+    # closure equals the plain closure, and certifies -1 exactly when the
+    # group holds it; the cap counts elements either way
+    flags = _record_minus_one(monkeypatch)
+    v = (1, -spingroup._dual((3, 4, 0)))
+    h = FieldScalar(Fraction(-1, 2))
+    q = (0, Quaternion(h, h, h, h))
+    minus_q = (0, -q[1])
+    for seed, n, minus_one in (([v], 2, False), ([q], 3, False),
+                               ([q, minus_q], 6, True)):
+        elements = spingroup._mulclose(seed, cap=n)
+        assert elements == _documented_order(
+            plain_closure(set(map(multivector, seed))))
+        assert len(elements) == n
+        assert flags[-1] is minus_one
+        assert ((0, Quaternion(-1)) in elements) is minus_one
+        with pytest.raises(CapExceeded, match=f"cap of {n - 1} elements"):
+            spingroup._mulclose(seed, cap=n - 1)
+
+
+def test_cap_boundaries_count_elements(closures):
+    # a cap lets through a closure of exactly that many elements and stops
+    # it one below: 240 versors, 120 two-generator spinors and 30 roots
+    h3 = simple_roots("h3")
+    for closure, size in ((lambda cap: generate_versor_group(closures["h3"],
+                                                             cap=cap), 240),
+                          (lambda cap: generate_from_two(h3, cap=cap), 120),
+                          (lambda cap: orbit_closure(h3, cap=cap), 30)):
+        assert len(closure(size)) == size
+        with pytest.raises(CapExceeded, match=f"cap of {size - 1} "):
+            closure(size - 1)
 
 
 def test_closure_cap():
