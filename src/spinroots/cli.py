@@ -2,19 +2,20 @@
 
 Commands print human-readable summaries; ``--json`` additionally writes the
 exact machine-readable form.  Exit status: 0 on success, 1 when a
-verification or table cell fails, the ``--json`` file cannot be written
-or the reader of stdout has gone (a closed pipe, as in ``| head``), 2 on
-usage errors.
+verification or table cell fails, the ``--json`` file cannot be written,
+stdout cannot encode the output (sqrt, tau, sigma on an ASCII stdout) or
+the reader of stdout has gone (a closed pipe, as in ``| head``), 2 on
+usage errors.  A command imports ``spingroup`` and ``json`` if it uses
+them, so ``roots`` and ``cartan`` load only ``coxeter`` and ``exactfield``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import coxeter, spingroup
+from . import coxeter
 from .coxeter import GROUPS
 
 EXPECTED = {
@@ -38,6 +39,7 @@ class OutputError(Exception):
 
 
 def _write_json(path: str, payload) -> None:
+    import json
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -66,6 +68,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_spinors(args) -> int:
+    from . import spingroup
     result = spingroup.run_pipeline(coxeter.simple_roots(args.group))
     ss = result.two_generator if args.from_two else result.spinors
     origin = " (from two generators)" if args.from_two else ""
@@ -84,6 +87,7 @@ def cmd_spinors(args) -> int:
 
 
 def cmd_versors(args) -> int:
+    from . import spingroup
     result = spingroup.run_pipeline(coxeter.simple_roots(args.group))
     vg, census = result.versors, result.census
     print(f"group: {args.group}")
@@ -116,6 +120,7 @@ def cmd_cartan(args) -> int:
 
 def build_report(presets: dict | None = None) -> dict:
     """Run all four pipelines and compare each cell against the table."""
+    from . import spingroup
     rows = []
     for group in GROUPS:
         simple = presets[group] if presets else coxeter.simple_roots(group)
@@ -215,6 +220,9 @@ def main(argv=None) -> int:
         return status
     except OutputError as exc:
         print(f"spinroots: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeEncodeError as exc:
+        print(f"spinroots: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Python's flush at exit would fail again on the closed pipe.

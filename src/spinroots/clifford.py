@@ -7,7 +7,9 @@ last blade is the pseudoscalar I.  The geometric product is driven by a
 precomputed blade table; reflections and rotations are the usual sandwich
 maps -nan and R a ~R.  The pipeline computes with quaternions alone and
 never imports this module; it is the reference the tests check the
-pipeline against, kept in the package because the benchmark imports it.
+pipeline against.  It can move into the tests once the benchmark stops
+importing it: ``perfbench/run.py`` loads it, and ``perfbench/tracing.py``
+wraps ``Multivector.__mul__``.
 
 It alone fixes how blades map to quaternions.  ``from_spinor`` carries
 even multivectors to quadruples componentwise; it reverses products,

@@ -187,11 +187,6 @@ def _reflector(alpha: Root):
     return reflect
 
 
-def reflect_root(lam: Root, alpha: Root) -> Root:
-    """s_alpha(lam) = lam - 2 (lam|alpha)/(alpha|alpha) alpha."""
-    return _reflector(alpha)(lam)
-
-
 def _reflection(alpha: Root):
     """s_alpha as an integer matrix (``exactfield.linear_map``), read off
     ``_reflector``'s images of the unit vectors."""

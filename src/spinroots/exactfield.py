@@ -21,11 +21,11 @@ so the pipeline never loads ``fractions`` or its ``decimal``.  A
 field-linear map is a sparse integer matrix on these coordinates, read
 off its images of the unit vectors (``linear_map``), and ``apply``, the
 kernel of every closure, gives an image's class {x, -x} and sign.  A
-closure's integer keys come back in one batch (``from_keys``, which
-``from_ints`` calls for one key): a memo local to the call builds one
-FieldScalar per distinct coordinate tuple, and keeps nothing between
-calls.  ``squares_sum_to_one`` decides a unit norm on the integer tuples,
-with the product's numerators from ``_times``, the one place the
+closure's integer keys come back in one batch (``from_keys``, the
+inverse of ``to_ints``): a memo local to the call builds one FieldScalar
+per distinct coordinate tuple, and keeps nothing between calls.
+``squares_sum_to_one`` decides a unit norm on the integer tuples, with
+the product's numerators from ``_times``, the one place the
 multiplication formula is written.
 """
 
@@ -183,18 +183,6 @@ class FieldScalar:
         return _make(a, b, c, d, v1[4] * v2[4])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     # -- comparisons -------------------------------------------------------
 
@@ -386,10 +374,11 @@ def to_ints(xs) -> tuple[tuple[int, ...], int]:
 
 
 def from_keys(keys) -> list[tuple[FieldScalar, ...]]:
-    """``from_ints`` of each (ints, den) key, in order, with one object
-    per distinct value: a memo local to the call maps each coordinate
-    tuple, as given and as reduced, to its FieldScalar, so a value that
-    recurs is neither reduced nor built again."""
+    """For each key (ints, den > 0), in order, the FieldScalars whose
+    coordinates over den are ints, four to a scalar; one object per
+    distinct value: a memo local to the call maps each coordinate tuple,
+    as given and as reduced, to its FieldScalar, so a value that recurs
+    is neither reduced nor built again."""
     made = {}
     out = []
     for ints, den in keys:
@@ -404,12 +393,6 @@ def from_keys(keys) -> list[tuple[FieldScalar, ...]]:
             row.append(x)
         out.append(tuple(row))
     return out
-
-
-def from_ints(ints, den: int) -> tuple[FieldScalar, ...]:
-    """The FieldScalars whose coordinates over ``den > 0`` are ``ints``,
-    four to a scalar; the inverse of ``to_ints``."""
-    return from_keys(((ints, den),))[0]
 
 
 def squares_sum_to_one(xs) -> bool:
@@ -496,7 +479,6 @@ ZERO = FieldScalar(0)
 ONE = FieldScalar(1)
 SQRT2 = FieldScalar(0, 1)
 SQRT5 = FieldScalar(0, 0, 1)
-SQRT10 = FieldScalar(0, 0, 0, 1)
 HALF = _make(1, 0, 0, 0, 2)
 TAU = _make(1, 0, 1, 0, 2)
 SIGMA = _make(1, 0, -1, 0, 2)

@@ -36,17 +36,6 @@ class Quaternion:
     def __delattr__(self, name):
         raise AttributeError("Quaternion is immutable")
 
-    def __add__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(*(x + y for x, y in
-                            zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return self + -other
-
     def __neg__(self):
         return Quaternion(*(-x for x in self.components))
 
@@ -81,13 +70,6 @@ class Quaternion:
     def norm_sq(self) -> FieldScalar:
         return dot(self.components, self.components)
 
-    def inner(self, other: Quaternion) -> FieldScalar:
-        """(p, q) = (conj(p) q + p conj(q)) / 2, the Euclidean 4D dot."""
-        return dot(self.components, other.components)
-
-    def is_pure(self) -> bool:
-        return not self.components[0]
-
     def is_unit(self) -> bool:
         """norm_sq() == 1, decided on the components' integer tuples."""
         return squares_sum_to_one(self.components)
@@ -96,10 +78,6 @@ class Quaternion:
 
     def to_json(self) -> list[list[str]]:
         return [c.to_json() for c in self.components]
-
-    @classmethod
-    def from_json(cls, data) -> Quaternion:
-        return cls(*(FieldScalar.from_json(c) for c in data))
 
     def __repr__(self):
         return f"Quaternion{self.components!r}"

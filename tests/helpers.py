@@ -126,7 +126,7 @@ def reflect_oracle(lam, alpha):
     zero = FieldScalar(0)
     aa = sum((a * a for a in alpha), zero)
     t = sum((x * a for x, a in zip(lam, alpha)), zero)
-    c = (t + t) / aa
+    c = (t + t) * aa.inverse()
     return tuple(x - c * a for x, a in zip(lam, alpha))
 
 

@@ -277,25 +277,33 @@ def test_json_export_runs_the_pipeline_once(argv, monkeypatch, tmp_path,
     assert path.read_text(encoding="utf-8") == want
 
 
-def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
-    # the pipeline is quaternion code: a fresh, isolated interpreter that
-    # runs the whole table and writes the H3 roots as JSON never imports
-    # the Clifford oracle, nor dataclasses and the inspect it pulls in,
-    # nor fractions and its decimal, as the field formats its own integer
-    # coordinates; -B, since -I ignores PYTHONDONTWRITEBYTECODE, so the
-    # run leaves no __pycache__ in src/
-    path = tmp_path / "h3.json"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from spinroots.cli import main; "
-            "status = main(['verify-table']) "
-            "or main(['roots', 'h3', '--json', sys.argv[2]]); "
-            "print(*sorted(sys.modules), file=sys.stderr); "
+def _fresh_run(body: str, *args: str) -> tuple[int, list[str]]:
+    """Exit status and loaded modules of a fresh, isolated interpreter
+    that finds the package in the sources and runs ``body``, which sets
+    ``status``; -B, since -I ignores PYTHONDONTWRITEBYTECODE, so the run
+    leaves no __pycache__ in src/."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + body
+            + "; print(*sorted(sys.modules), file=sys.stderr); "
             "sys.exit(status)")
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code, _src(), str(path)],
+        [sys.executable, "-I", "-S", "-B", "-c", code, _src(), *args],
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    loaded = proc.stderr.split()
+    return proc.returncode, proc.stderr.split()
+
+
+def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
+    # each command loads only what it runs.  The pipeline is quaternion
+    # code: the whole table, with the H3 roots written as JSON, never
+    # imports the Clifford oracle, nor dataclasses and the inspect it
+    # pulls in, nor fractions and its decimal, as the field formats its
+    # own integer coordinates.  The package imports none of its modules,
+    # and roots and cartan load no spinor code, nor json without --json.
+    path = tmp_path / "h3.json"
+    status, loaded = _fresh_run(
+        "from spinroots.cli import main; "
+        "status = main(['verify-table']) "
+        "or main(['roots', 'h3', '--json', sys.argv[2]])", str(path))
+    assert status == 0
     assert "spinroots.spingroup" in loaded
     assert "spinroots.clifford" not in loaded
     for module in ("dataclasses", "inspect", "fractions", "decimal"):
@@ -304,6 +312,21 @@ def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
     recorded = next(e["json_sha256"] for e in json.loads(index.read_text())
                     if e["json"] and e["argv"] == ["roots", "h3"])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
+
+    def package(modules):
+        return [m for m in modules if m.partition(".")[0] == "spinroots"]
+
+    status, loaded = _fresh_run("import spinroots; status = 0")
+    assert status == 0 and package(loaded) == ["spinroots"]
+    for command in ("roots", "cartan"):
+        status, loaded = _fresh_run(
+            "from spinroots.cli import main; status = main(sys.argv[2:])",
+            command, "h3")
+        assert status == 0
+        assert package(loaded) == ["spinroots", "spinroots.cli",
+                                   "spinroots.coxeter",
+                                   "spinroots.exactfield"]
+        assert "json" not in loaded
 
 
 def test_no_module_uses_dataclasses():
@@ -332,3 +355,24 @@ def test_closed_stdout_pipe_is_a_clean_exit(flags):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "cp1252"])
+def test_stdout_that_cannot_encode_the_output_is_a_clean_error(encoding):
+    # the H3 roots print sqrt2, tau and sigma signs, which neither
+    # encoding holds: one line on stderr, no traceback.  The A1^3 roots
+    # are plain integers and print as before
+    env = dict(os.environ, PYTHONPATH=_src(), PYTHONIOENCODING=encoding)
+
+    def roots(group):
+        return subprocess.run(
+            [sys.executable, "-m", "spinroots.cli", "roots", group],
+            capture_output=True, env=env, timeout=120)
+    h3, a1x3 = roots("h3"), roots("a1x3")
+    assert h3.returncode == 1
+    assert b"Traceback" not in h3.stderr
+    assert len(h3.stderr.splitlines()) == 1
+    assert h3.stderr.startswith(b"spinroots: cannot write to stdout: ")
+    assert (a1x3.returncode, a1x3.stderr) == (0, b"")
+    golden = Path(__file__).resolve().parent / "golden" / "roots-a1x3.txt"
+    assert a1x3.stdout.decode(encoding) == golden.read_text(encoding="utf-8")

@@ -17,10 +17,10 @@ from helpers import (brute_force_axiom2, brute_force_orbit,
 from spinroots import clifford, coxeter
 from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
                                SimpleRoots, cartan_matrix, dot, negate,
-                               orbit_closure, reflect_root, rotation_order,
-                               simple_roots, verify_root_system)
+                               orbit_closure, rotation_order, simple_roots,
+                               verify_root_system)
 from spinroots.exactfield import (SIGMA, SQRT2, TAU, FieldScalar, apply,
-                                  from_ints, to_ints)
+                                  from_keys, to_ints)
 from spinroots.spingroup import generate_versor_group
 
 _S = FieldScalar(0, Fraction(1, 2))       # 1/sqrt2
@@ -59,9 +59,9 @@ def test_unknown_group():
 
 def test_reflect_root_basics():
     alpha = _r(_S, _S, 0)
-    assert reflect_root(alpha, alpha) == negate(alpha)
+    assert coxeter._reflector(alpha)(alpha) == negate(alpha)
     with pytest.raises(ValueError):
-        reflect_root(alpha, _r(0, 0, 0))
+        coxeter._reflector(_r(0, 0, 0))
 
 
 def _coords(v) -> tuple[Fraction, ...]:
@@ -70,7 +70,7 @@ def _coords(v) -> tuple[Fraction, ...]:
 
 def test_reflection_matrix_is_reflect_root(closures):
     # the integer matrix of s_alpha applied to the Fraction coordinates of
-    # lam gives those of reflect_root(lam, alpha), and ``apply`` gives its
+    # lam gives those of _reflector(alpha)(lam), and ``apply`` gives its
     # integer key as a sign times a class key, over a reduced positive
     # denominator
     rng = random.Random(83)
@@ -84,7 +84,7 @@ def test_reflection_matrix_is_reflect_root(closures):
         lam, alpha = rng.choice(pool), rng.choice(pool)
         if not any(alpha):
             continue
-        want = reflect_root(lam, alpha)
+        want = coxeter._reflector(alpha)(lam)
         cols, den = coxeter._reflection(alpha)
         assert len(cols) == 4 * len(alpha) and den > 0
         image = [Fraction(0)] * len(cols)
@@ -96,12 +96,12 @@ def test_reflection_matrix_is_reflect_root(closures):
         assert d > 0 and math.gcd(*ints, d) == 1
         ints = tuple(sign * n for n in ints)
         assert (ints, d) == to_ints(want)
-        assert from_ints(ints, d) == want
+        assert from_keys([(ints, d)])[0] == want
 
 
 def test_reflect_root_worked_example_b3():
     # reflecting (0,0,1) in (0,1,-1)/sqrt2 lands on (0,1,0)
-    assert reflect_root(_r(0, 0, 1), _r(0, _S, -_S)) == _r(0, 1, 0)
+    assert coxeter._reflector(_r(0, _S, -_S))(_r(0, 0, 1)) == _r(0, 1, 0)
 
 
 def test_reflect_root_agrees_with_clifford(closures):
@@ -112,7 +112,8 @@ def test_reflect_root_agrees_with_clifford(closures):
             for _ in range(3):
                 lam = tuple(rand_scalar(rng, 4) for _ in range(3))
                 sandwich = clifford.reflect(clifford.vector(*lam), n)
-                assert reflect_root(lam, alpha) == sandwich.vector_coords()
+                assert coxeter._reflector(alpha)(lam) \
+                    == sandwich.vector_coords()
 
 
 def test_reflect_root_preserves_inner_product():
@@ -123,8 +124,8 @@ def test_reflect_root_preserves_inner_product():
         alpha = tuple(rand_scalar(rng, 4) for _ in range(3))
         if not any(alpha):
             continue
-        assert dot(reflect_root(lam, alpha), reflect_root(mu, alpha)) \
-            == dot(lam, mu)
+        reflect = coxeter._reflector(alpha)
+        assert dot(reflect(lam), reflect(mu)) == dot(lam, mu)
 
 
 def test_closure_counts(closures):

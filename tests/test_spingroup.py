@@ -296,7 +296,8 @@ def test_h3_duals_are_pure_icosians(pipelines):
     assert len(duals) == 30
     assert duals <= rotors
     images = {from_spinor(d) for d in duals}
-    assert images == {q for q in catalog("icosians") if q.is_pure()}
+    assert images == {q for q in catalog("icosians")
+                      if not q.components[0]}
 
 
 def test_pure_icosian_product_rule(closures):
