@@ -2,7 +2,10 @@
 
 Roots are plain tuples of FieldScalar so they hash and sort exactly; the
 reflection s_a(l) = l - 2(l|a)/(a|a) a works for any rank and agrees with
-the Clifford sandwich -nan on rank 3 (cross-checked in the tests).
+the Clifford sandwich -nan on rank 3 (cross-checked in the tests).  It is
+written once, as the images s_a(e_i) = e_i - a_i c of the unit vectors
+with c = 2a/(a|a), from which ``exactfield.linear_map`` builds the
+integer matrix of s_a (``_reflection``).
 
 A root system is the orbit of its generators under the group W their
 reflections generate, so the orbit closure reflects in the generators only:
@@ -13,9 +16,8 @@ axiom 2, which ``verify_root_system`` checks in O(n |G|) reflections, not
 n^2.  Axiom 1 keys each root by its direction, scaled so its first nonzero
 entry is 1.  ``accrete`` is the one closure, of the orbit, of axiom 2
 and of ``spingroup``'s versors: a seed closed under generators taken from
-it, on classes {x, -x}.  Roots are closed on integer keys: s_alpha is the
-integer matrix that ``exactfield.linear_map`` reads off the reflection
-formula, applied by the shared ``exactfield.apply``.
+it, on classes {x, -x}.  Roots are closed on integer keys: s_alpha is
+that integer matrix, applied by the shared ``exactfield.apply``.
 """
 
 from __future__ import annotations
@@ -177,20 +179,17 @@ def _reflection_scale(alpha: Root) -> Root:
     return tuple((a + a) * inv for a in alpha)
 
 
-def _reflector(alpha: Root):
-    """lam -> s_alpha(lam) = lam - (lam|alpha) c, with c taken once."""
-    c = _reflection_scale(alpha)
-
-    def reflect(lam: Root) -> Root:
-        t = -dot(lam, alpha)
-        return tuple(l + t * w for l, w in zip(lam, c))
-    return reflect
-
-
 def _reflection(alpha: Root):
-    """s_alpha as an integer matrix (``exactfield.linear_map``), read off
-    ``_reflector``'s images of the unit vectors."""
-    return linear_map(_reflector(alpha), len(alpha))
+    """s_alpha as an integer matrix (``exactfield.linear_map``): the images
+    of the unit vectors, s_alpha(e_i) = e_i - alpha_i c, with c taken once;
+    the one statement of the reflection formula."""
+    minus_c = [-w for w in _reflection_scale(alpha)]
+    images = []
+    for i, a in enumerate(alpha):
+        image = [a * w for w in minus_c]
+        image[i] = ONE + image[i]
+        images.append(image)
+    return linear_map(images)
 
 
 def _rank(roots) -> int:

@@ -18,15 +18,15 @@ and ``denominator`` (int, bool, Fraction); JSON and display are read off
 the integer tuple.  Only ``_fraction`` names ``fractions.Fraction``, for
 string input and the ``a``-``d`` components, and imports it when called,
 so the pipeline never loads ``fractions`` or its ``decimal``.  A
-field-linear map is a sparse integer matrix on these coordinates, read
-off its images of the unit vectors (``linear_map``), and ``apply``, the
-kernel of every closure, gives an image's class {x, -x} and sign.  A
-closure's integer keys come back in one batch (``from_keys``, the
-inverse of ``to_ints``): a memo local to the call builds one FieldScalar
-per distinct coordinate tuple, and keeps nothing between calls.
-``squares_sum_to_one`` decides a unit norm on the integer tuples, with
-the product's numerators from ``_times``, the one place the
-multiplication formula is written.
+field-linear map is a sparse integer matrix on these coordinates, built
+from the images of the unit vectors that its caller writes down
+(``linear_map``), and ``apply``, the kernel of every closure, gives an
+image's class {x, -x} and sign.  A closure's integer keys come back in
+one batch (``from_keys``, the inverse of ``to_ints``): a memo local to
+the call builds one FieldScalar per distinct coordinate tuple, and keeps
+nothing between calls.  ``squares_sum_to_one`` decides a unit norm on a
+key's integers, with the squares' numerators from ``_times``, the one
+place the multiplication formula is written.
 """
 
 from __future__ import annotations
@@ -220,6 +220,11 @@ class FieldScalar:
     def inverse(self) -> FieldScalar:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
+        a, b, c, d, den = self._v
+        if not (b or c or d):  # a rational: den / a, over a positive a
+            if a < 0:
+                a, den = -a, -den
+            return _make(den, 0, 0, 0, a)
         # Multiply by all other Galois conjugates; the full product is the
         # rational field norm.
         partial = self.conj_sqrt2() * self.conj_sqrt5() * self.conj_sqrt2().conj_sqrt5()
@@ -395,45 +400,46 @@ def from_keys(keys) -> list[tuple[FieldScalar, ...]]:
     return out
 
 
-def squares_sum_to_one(xs) -> bool:
-    """Whether the squares of the FieldScalars xs sum to 1, decided on
-    their integer tuples over the least common denominator D of the
-    nonzero ones: the squares' numerators (``_times``), each scaled by
-    (D / den)^2, must sum to (D^2, 0, 0, 0).  No FieldScalar is built."""
-    vs = [x._v for x in xs if x._v != _ZERO_V]
-    den = lcm(*[v[4] for v in vs])
+def squares_sum_to_one(key) -> bool:
+    """Whether the squares of the FieldScalars of a key (ints, den) sum to
+    1, decided on its integers: their squares' numerators (``_times``),
+    over den^2, must sum to (den^2, 0, 0, 0).  No FieldScalar is built."""
+    ints, den = key
     a = b = c = d = 0
-    for v in vs:
+    it = iter(ints)
+    for v in zip(it, it, it, it):
+        v += (den,)
         pa, pb, pc, pd = _times(v, v)
-        s = (den // v[4]) ** 2
-        a += pa * s
-        b += pb * s
-        c += pc * s
-        d += pd * s
+        a += pa
+        b += pb
+        c += pc
+        d += pd
     return a == den * den and not (b or c or d)
 
 
-def linear_map(f, n: int):
-    """A field-linear map f of n-tuples of FieldScalars as a sparse integer
-    matrix on the 4 n coordinates of x (``to_ints``) over one denominator:
-    column 4 i + j lists the (row, entry) pairs of the image of coordinate
-    j of x_i.  Column block i is read off f(e_i), the image of the unit
-    vector e_i, so f is evaluated n times.  Indexed by bits, basis
-    elements m and j of 1, sqrt2, sqrt5, sqrt10 multiply to element m ^ j
-    times the square of element m & j."""
-    images = [f(tuple(ONE if k == i else ZERO for k in range(n)))
-              for i in range(n)]
+# (m ^ j, w): indexed by bits, basis elements m and j of 1, sqrt2, sqrt5,
+# sqrt10 multiply to element m ^ j times w, the square of element m & j
+_BASIS_PRODUCTS = tuple(tuple((m ^ j, (1, 2, 5, 10)[m & j]) for j in range(4))
+                        for m in range(4))
+
+
+def linear_map(images):
+    """The field-linear map of n-tuples of FieldScalars that sends the unit
+    vector e_i to images[i], n FieldScalars, as a sparse integer matrix on
+    the 4 n coordinates of x (``to_ints``) over one denominator: column
+    4 i + j lists the (row, entry) pairs of the image of coordinate j of
+    x_i, read off images[i] times basis element j (``_BASIS_PRODUCTS``)."""
     den = lcm(*[x._v[4] for image in images for x in image])
-    cols = [[] for _ in range(4 * n)]
+    cols = [[] for _ in range(4 * len(images))]
     for i, image in enumerate(images):
+        block = cols[4 * i:4 * i + 4]
         for r, x in enumerate(image):
-            *parts, d = x._v
-            for m, p in enumerate(parts):
-                if p:
-                    p *= den // d
-                    for j in range(4):
-                        cols[4 * i + j].append(
-                            (4 * r + (m ^ j), p * (1, 2, 5, 10)[m & j]))
+            v = x._v
+            for m in range(4):
+                if v[m]:
+                    p = v[m] * (den // v[4])
+                    for col, (k, w) in zip(block, _BASIS_PRODUCTS[m]):
+                        col.append((4 * r + k, p * w))
     return tuple(map(tuple, cols)), den
 
 

@@ -15,8 +15,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .coxeter import dot
-from .exactfield import (HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar,
-                         squares_sum_to_one)
+from .exactfield import HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar
 
 
 class Quaternion:
@@ -25,8 +24,11 @@ class Quaternion:
     __slots__ = ("components", "_hash")
 
     def __init__(self, q0=0, q1=0, q2=0, q3=0):
-        comps = tuple(c if isinstance(c, FieldScalar) else FieldScalar(c)
-                      for c in (q0, q1, q2, q3))
+        comps = (q0, q1, q2, q3)
+        if not (q0.__class__ is q1.__class__ is q2.__class__
+                is q3.__class__ is FieldScalar):
+            comps = tuple(c if isinstance(c, FieldScalar) else FieldScalar(c)
+                          for c in comps)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_hash", None)
 
@@ -69,10 +71,6 @@ class Quaternion:
 
     def norm_sq(self) -> FieldScalar:
         return dot(self.components, self.components)
-
-    def is_unit(self) -> bool:
-        """norm_sq() == 1, decided on the components' integer tuples."""
-        return squares_sum_to_one(self.components)
 
     # -- io -------------------------------------------------------------------
 

@@ -11,18 +11,19 @@ and an odd v = I R as (1, q), with q the quaternion of R, from the roots,
 read as the pure quaternions of their duals (``_dual``), to the output,
 so no Multivector is built.  The closure holds q as 16 integer
 coordinates over one denominator (``exactfield.to_ints``).  Left
-multiplication by a generator is the sparse integer matrix that
-``exactfield.linear_map`` reads off the Hamilton product, so a step is
-one sparse product and one gcd, the kernel that reflections share
-(``exactfield.apply``), in the closure on classes {v, -v} that roots
-share (``coxeter.accrete``).  The closed keys become FieldScalars in one
-batch (``exactfield.from_keys``), one object per distinct component
-value, and are sorted once, each parity by (q0, q3, q1, q2): the output
-order that the golden files fix.  Every versor's unit norm is checked on
-its components' integer tuples (``Quaternion.is_unit``).  A unit versor's
-transformation is fixed by the rotation of R, whose order follows from
-its scalar part q0 = cos theta (``coxeter.rotation_order``), so the
-census needs no matrices.
+multiplication by a generator is a sparse integer matrix
+(``exactfield.linear_map``) whose images of the units are signed
+components of the generator, read once off the Hamilton product, so a
+step is one sparse product and one gcd, the kernel that reflections
+share (``exactfield.apply``), in the closure on classes {v, -v} that
+roots share (``coxeter.accrete``).  Each class's unit norm is checked
+once, on its integer key (``exactfield.squares_sum_to_one``).  The
+closed keys become FieldScalars in one batch (``exactfield.from_keys``),
+one object per distinct component value, and are sorted once, each
+parity by (q0, q3, q1, q2): the output order that the golden files fix.
+A unit versor's transformation is fixed by the rotation of R, whose order
+follows from its scalar part q0 = cos theta (``coxeter.rotation_order``),
+so the census needs no matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from .coxeter import (Record, RootSystem, SimpleRoots, accrete, dot,
                       orbit_closure, rotation_order, verify_root_system)
 from .exactfield import (ONE, ZERO, apply, class_key, exact_sorted,
-                         from_keys, linear_map, to_ints)
+                         from_keys, linear_map, squares_sum_to_one, to_ints)
 from .quaternion import Quaternion, catalog
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
@@ -56,10 +57,28 @@ def _dual(root) -> Quaternion:
     return Quaternion(ZERO, *root)
 
 
+def _left_terms():
+    """_LEFT[i][r] = (k, sign): component r of q e_i is sign q_k, read off
+    ``Quaternion.__mul__`` on the basis units, e_k e_i = sign e_r."""
+    units = [Quaternion(*(ONE if k == i else ZERO for k in range(4)))
+             for i in range(4)]
+    left = [[None] * 4 for _ in range(4)]
+    for k, e_k in enumerate(units):
+        for i, e_i in enumerate(units):
+            r, x = next(t for t in enumerate((e_k * e_i).components) if t[1])
+            left[i][r] = (k, x.sign())
+    return left
+
+
+_LEFT = _left_terms()
+
+
 def _generator(parity: int, q: Quaternion):
     """(parity, cols, den): left multiplication p -> q p as an integer
-    matrix, read off ``Quaternion.__mul__`` (``exactfield.linear_map``)."""
-    return parity, *linear_map(lambda p: (q * Quaternion(*p)).components, 4)
+    matrix (``exactfield.linear_map``) of the images q e_i (``_LEFT``)."""
+    signed = {1: q.components, -1: tuple(-x for x in q.components)}
+    return parity, *linear_map([[signed[s][k] for k, s in row]
+                                for row in _LEFT])
 
 
 def _step(gen, elem):
@@ -83,11 +102,15 @@ def _mulclose(seed, cap: int):
     the parities and negates when both are odd (I^2 = -1).  The seed
     pairs' classes, in order, close by ``coxeter.accrete``, which certifies
     whether -1 is in: then a class is both versors, else the one reached.
+    Every class must have unit norm, as v and -v share it: v * ~v is the
+    norm of R's quaternion for either parity; ValueError if one does not.
     """
     classes, minus_one = accrete(
         (((p, *key), sign, (p, q)) for p, q in seed
          for key, sign in [class_key(to_ints(q.components))]),
         lambda pq: _generator(*pq), _step, cap)
+    if not all(squares_sum_to_one(key[1:]) for key in classes):
+        raise ValueError("closure produced a non-unit versor")
     elements = [(odd, ints if s > 0 else tuple([-n for n in ints]), den)
                 for (odd, ints, den), sign in classes.items()
                 for s in ((1, -1) if minus_one else (sign,))]
@@ -138,17 +161,15 @@ def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
     A root a = I (-I a) enters as the odd pair (1, -(0, a)), in the order of
-    ``rs.roots``.  Every element must have unit magnitude: v * ~v is the
-    norm of R's quaternion for either parity.  The even half are the rotors.
+    ``rs.roots``; ``_mulclose`` checks that every element is a unit.  The
+    even half are the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
     if not rs.verified:
         raise ValueError("verify the root system before generating versors")
-    elements = _mulclose(((1, -_dual(r)) for r in rs.roots), cap)
-    if not all(q.is_unit() for _, q in elements):
-        raise ValueError("closure produced a non-unit versor")
-    return VersorGroup(rs.group, elements)
+    return VersorGroup(rs.group,
+                       _mulclose(((1, -_dual(r)) for r in rs.roots), cap))
 
 
 class VersorCensus(Record):

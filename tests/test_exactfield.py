@@ -296,30 +296,35 @@ def test_squares_sum_to_one_agrees_with_the_field_product():
                                     xs[j] * TAU))
             xs = tuple(xs)
         want = coxeter.dot(xs, xs) == ONE
-        assert squares_sum_to_one(xs) is want
+        assert squares_sum_to_one(to_ints(xs)) is want
         verdicts.append(want)
         if want:
             parts.update(m for x in xs for m in range(4) if x._v[m])
     assert verdicts.count(True) > 400 and verdicts.count(False) > 300
     assert parts == {0, 1, 2, 3}
-    assert squares_sum_to_one((FieldScalar(Fraction(3, 5)),
-                               FieldScalar(Fraction(4, 5))))
-    assert squares_sum_to_one((HALF,) * 4)
+    assert squares_sum_to_one(to_ints((FieldScalar(Fraction(3, 5)),
+                                       FieldScalar(Fraction(4, 5)))))
+    assert squares_sum_to_one(to_ints((HALF,) * 4))
     third, quarter = (3 * ONE).inverse(), (4 * ONE).inverse()
     for near in (((ONE + 2 * SQRT2) * third,), ((2 + SQRT5) * third,),
                  (3 * quarter, (SQRT2 + SQRT5) * quarter)):
         # squares summing to 1 plus a sqrt2, sqrt5 or sqrt10 part
-        assert not squares_sum_to_one(near)
+        assert not squares_sum_to_one(to_ints(near))
         assert (coxeter.dot(near, near) - ONE).approx() > 0
-    assert not squares_sum_to_one((HALF,) * 3)
-    assert not squares_sum_to_one((ZERO,) * 4)
-    assert not squares_sum_to_one(())
+    assert not squares_sum_to_one(to_ints((HALF,) * 3))
+    assert not squares_sum_to_one(to_ints((ZERO,) * 4))
+    assert not squares_sum_to_one(to_ints(()))
 
 
 def _grid_map(grid):
     """x -> A x for an n x n grid A of FieldScalars."""
     return lambda x: tuple(sum((a * y for a, y in zip(row, x)), ZERO)
                            for row in grid)
+
+
+def _images(grid):
+    """The images of the unit vectors under x -> A x: the columns of A."""
+    return [tuple(row[i] for row in grid) for i in range(len(grid))]
 
 
 def _random_grids(seed):
@@ -337,13 +342,14 @@ def _signed(key, sign):
 
 
 def test_linear_map_is_the_field_product():
-    # the integer matrix of a map x -> A x applied to the coordinates of x
+    # the integer matrix of a map x -> A x, built from its images of the
+    # unit vectors (the columns of A), applied to the coordinates of x
     # gives those of A x, as a sign times a class key over a reduced
     # positive denominator; a negative matrix denominator negates the image
     for rng, n, grid in _random_grids(41):
         x = tuple(rand_scalar(rng) for _ in range(n))
         want = _grid_map(grid)(x)
-        cols, den = linear_map(_grid_map(grid), n)
+        cols, den = linear_map(_images(grid))
         assert len(cols) == 4 * n and den > 0
         (ints, d), sign = apply((cols, den), to_ints(x))
         assert d > 0 and math.gcd(*ints, d) == 1
@@ -365,7 +371,7 @@ def test_apply_returns_the_class_key_and_its_sign():
     rng = random.Random(47)
     leads, signs = set(), set()
     for _, n, grid in _random_grids(43):
-        cols, den = linear_map(_grid_map(grid), n)
+        cols, den = linear_map(_images(grid))
         for sparse in (True, False):
             x = tuple((rand_sparse_scalar if sparse else rand_scalar)(rng)
                       for _ in range(n))
@@ -395,13 +401,14 @@ def test_apply_returns_the_class_key_and_its_sign():
 
 
 def test_linear_map_columns_are_the_images_of_the_basis_keys():
-    # column k is f of the k-th of the 4 n basis keys (coordinate 1 at k,
+    # column k of the matrix built from the columns of A is f(x) = A x of
+    # the k-th of the 4 n basis keys (coordinate 1 at k,
     # the rest 0), built through from_keys and the field product and read
     # back through to_ints: this checks the bit expansion of the basis
     # products 1, sqrt2, sqrt5, sqrt10 against FieldScalar.__mul__
     for _, n, grid in _random_grids(43):
         f = _grid_map(grid)
-        cols, den = linear_map(f, n)
+        cols, den = linear_map(_images(grid))
         for k, col in enumerate(cols):
             basis = tuple(int(i == k) for i in range(4 * n))
             ints, d = to_ints(f(from_keys([(basis, 1)])[0]))
@@ -409,6 +416,30 @@ def test_linear_map_columns_are_the_images_of_the_basis_keys():
             for row, v in col:
                 dense[row] += Fraction(v, den)
             assert dense == [Fraction(i, d) for i in ints]
+
+
+def test_inverse_of_a_rational_is_its_reciprocal():
+    # both signs, +-1, +-1/2, and numerators and denominators of up to 60
+    # digits: x x^-1 = 1, and the inverse is the rational 1/x in lowest
+    # terms over a positive denominator
+    rng = random.Random(71)
+    values = [Fraction(s * n, d) for s in (1, -1)
+              for n, d in ((1, 1), (1, 2), (2, 1), (10 ** 60 + 7, 3))]
+    for _ in range(300):
+        digits = rng.choice((2, 12, 60))
+        values.append(Fraction(rng.choice((1, -1))
+                               * rng.randint(1, 10 ** digits),
+                               rng.randint(1, 10 ** digits)))
+    signs = set()
+    for q in values:
+        x = FieldScalar(q)
+        inv = x.inverse()
+        a, b, c, d, den = inv._v
+        assert x * inv == ONE
+        assert not (b or c or d) and den > 0 and math.gcd(a, den) == 1
+        assert Fraction(a, den) == 1 / q
+        signs.add(inv.sign())
+    assert signs == {1, -1}
 
 
 def test_exact_sorted_equals_sorted():

@@ -16,7 +16,7 @@ from spinroots.clifford import (E1, E2, E3, I, ONE, Multivector,
 from spinroots.coxeter import dot
 from spinroots.exactfield import ONE as F_ONE
 from spinroots.exactfield import ZERO as F_ZERO
-from spinroots.exactfield import FieldScalar
+from spinroots.exactfield import FieldScalar, squares_sum_to_one, to_ints
 from spinroots.quaternion import Quaternion, apply_pq, catalog
 
 QONE, QI, QJ, QK = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1),
@@ -204,7 +204,7 @@ def test_catalog_contents():
     s = FieldScalar(0, Fraction(1, 2))
     assert Quaternion(s, s, 0, 0) in catalog("hurwitz_duals")
     for q in catalog("icosians"):
-        assert q.is_unit()
+        assert squares_sum_to_one(to_ints(q.components))
 
 
 def test_catalog_unknown():
@@ -234,7 +234,8 @@ def test_pure_icosians_number_thirty():
 
 
 def test_is_unit_agrees_with_norm_sq():
-    # the integer check of is_unit against norm_sq in field arithmetic:
+    # the integer check of squares_sum_to_one on the components' key
+    # against norm_sq in field arithmetic:
     # catalog units and their products with random quaternions, which are
     # units only when the random factor is
     rng = random.Random(109)
@@ -246,7 +247,7 @@ def test_is_unit_agrees_with_norm_sq():
         if rng.random() < 0.5:
             q = q * rand_quaternion(rng, 2)
         want = q.norm_sq() == F_ONE
-        assert q.is_unit() is want
+        assert squares_sum_to_one(to_ints(q.components)) is want
         verdicts.append(want)
     assert 50 < verdicts.count(True) < 250
 

@@ -15,14 +15,14 @@ from helpers import (induced_matrix, mat_det3, mat_identity, mat_mul,
                      plain_closure, quaternion_coords,
                      rand_nonzero_scalar, rand_sparse_scalar, rand_vector_mv,
                      turn)
-from spinroots import clifford, spingroup
+from spinroots import clifford, coxeter, spingroup
 from spinroots.clifford import (E1, E2, I, ONE, Multivector, from_spinor,
                                 quaternion_reflection_equivalence, vector,
                                 versor_blades, versor_pair)
 from spinroots.coxeter import (GROUPS, CapExceeded, RootSystem,
                                SimpleRoots, cartan_matrix, orbit_closure,
                                simple_roots, verify_root_system)
-from spinroots.exactfield import FieldScalar, to_ints
+from spinroots.exactfield import FieldScalar, class_key, linear_map, to_ints
 from spinroots.quaternion import Quaternion, catalog
 from spinroots.spingroup import (VersorGroup, classify_versors,
                                  check_pure_quaternion_subrootsystem,
@@ -457,6 +457,11 @@ _A1XB2 = _roots((1, 0, 0), (0, 1, -1), (0, 0, 1))
 _C3 = _roots((1, -1, 0), (0, 1, -1), (0, 0, 2))
 
 
+def _class_keys(pairs) -> list:
+    """The closure's class keys (parity, coords, den) of (parity, q) pairs."""
+    return [(p, *class_key(to_ints(q.components))[0]) for p, q in pairs]
+
+
 def _record_minus_one(monkeypatch) -> list:
     """The -1 flags of ``spingroup``'s closures, in the order closed."""
     flags, accrete = [], spingroup.accrete
@@ -560,13 +565,21 @@ def test_closure_cap_is_typed(closures):
 
 
 def test_versor_group_rejects_non_unit_versors(closures, monkeypatch):
-    # a closure that hands back pure-parity elements of norm 4 and 2
+    # a closure whose classes hold pure-parity elements of norm 4 and 2,
+    # next to the unit 1, which alone passes
+    unit, = _class_keys([versor_pair(ONE)])
     for bad in (vector(2, 0, 0), E1 * E2 + ONE):
-        monkeypatch.setattr(spingroup, "_mulclose",
-                            lambda seed, cap, bad=bad: (versor_pair(ONE),
-                                                        versor_pair(bad)))
-        with pytest.raises(ValueError, match="non-unit versor"):
-            generate_versor_group(closures["a1x3"])
+        for keys, ok in (([unit], True),
+                         ([unit, *_class_keys([versor_pair(bad)])], False)):
+            monkeypatch.setattr(spingroup, "accrete",
+                                lambda *args, keys=keys:
+                                (dict.fromkeys(keys, 1), False))
+            if ok:
+                assert generate_versor_group(closures["a1x3"]).elements \
+                    == (versor_pair(ONE),)
+                continue
+            with pytest.raises(ValueError, match="non-unit versor"):
+                generate_versor_group(closures["a1x3"])
 
 
 def test_versor_closures_share_one_object_per_value(closures, monkeypatch):
@@ -704,6 +717,31 @@ def test_pipeline_maps_only_the_two_generator_seeds(monkeypatch):
         spingroup.run_pipeline(simple_roots(g))
     assert calls == Counter()
     assert ONE * E1 == E1 and calls == Counter(init=1, product=1)
+
+
+def test_pipeline_builds_its_matrices_from_images(monkeypatch):
+    # every kernel matrix is built from images written down directly, so
+    # a pass over the four presets takes only the 8 Hamilton products of
+    # the two-generator seeds and builds 61 matrices: per preset, 3
+    # reflections in the orbit closure and 3 in rank-3 axiom 2, 4 in
+    # rank-4 axiom 2 (5 for F4), and 3 versor and 2 spinor generators
+    calls = Counter()
+    mul, build = Quaternion.__mul__, linear_map
+
+    def counted_mul(a, b):
+        calls["hamilton"] += isinstance(b, Quaternion)
+        return mul(a, b)
+
+    def counted_linear_map(images):
+        calls["linear_map"] += 1
+        return build(images)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted_mul)
+    monkeypatch.setattr(coxeter, "linear_map", counted_linear_map)
+    monkeypatch.setattr(spingroup, "linear_map", counted_linear_map)
+    for g in GROUPS:
+        spingroup.run_pipeline(simple_roots(g))
+    assert calls == Counter(hamilton=8, linear_map=61)
 
 
 CENSUS_JSON = {
