@@ -13,18 +13,21 @@ if beta = w(alpha_i), then s_beta = w s_i w^-1 lies in W and keeps the
 orbit (Humphreys, *Reflection Groups and Coxeter Groups*, 1.5).  So a set
 that is the orbit of a few of its own roots under their reflections meets
 axiom 2, which ``verify_root_system`` checks in O(n |G|) reflections, not
-n^2.  Axiom 1 keys each root by its direction, scaled so its first nonzero
-entry is 1.  ``accrete`` is the one closure, of the orbit, of axiom 2
-and of ``spingroup``'s versors: a seed closed under generators taken from
-it, on classes {x, -x}.  Roots are closed on integer keys: s_alpha is
-that integer matrix, applied by the shared ``exactfield.apply``.
+n^2.  Axiom 1 is read off the roots' integer keys, and their squared
+norms.  ``accrete`` is the one closure, of the orbit, of axiom 2 and of
+``spingroup``'s versors: a seed closed under generators taken from it, on
+classes {x, -x}.  Roots are closed on integer keys: s_alpha is that
+integer matrix, applied by the shared ``exactfield.apply``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 from .exactfield import (HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldScalar,
                          apply, class_key, exact_sorted, from_keys,
-                         linear_map, to_ints)
+                         linear_map, squared_norm, to_ints)
 
 Root = tuple[FieldScalar, ...]
 
@@ -166,10 +169,6 @@ def dot(x: Root, y: Root) -> FieldScalar:
     return acc
 
 
-def negate(x: Root) -> Root:
-    return tuple(-a for a in x)
-
-
 def _reflection_scale(alpha: Root) -> Root:
     """The vector c = 2 alpha / (alpha|alpha) of the reflection s_alpha."""
     aa = dot(alpha, alpha)
@@ -271,36 +270,51 @@ class Certificate(Record):
         super().__init__(passed, axiom, witness, message)
 
 
-def _direction(x: Root, inverses: dict) -> Root:
-    """x != 0 scaled so its first nonzero entry is 1, by a cached inverse."""
-    pivot = next(v for v in x if v)
-    if pivot == ONE:
-        return x
-    inv = inverses.get(pivot)
-    if inv is None:
-        inv = inverses[pivot] = pivot.inverse()
-    return tuple(v * inv for v in x)
+def _multiple(roots, root_of: dict):
+    """Roots (alpha, beta = c alpha), c != +-1, or None; a repeat gives
+    (beta, beta).  As |beta|^2 = c^2 |alpha|^2, a root of squared norm n
+    has such a multiple only of norm m != n, with c = sqrt(m/n) in the
+    field; ``root_of`` maps the keys to the roots, every negative in."""
+    if len(root_of) < len(roots):
+        return next((b, b) for b, k in Counter(roots).items() if k > 1)
+    by_norm: dict = {}
+    for key in root_of:
+        by_norm.setdefault(squared_norm(key), []).append(key)
+    for n, m in combinations(by_norm, 2):
+        c = (m * n.inverse()).sqrt()
+        if c is None:
+            continue
+        for key in by_norm[n]:
+            image = to_ints([c * x for x in root_of[key]])
+            if image in root_of:
+                return root_of[key], root_of[image]
+    return None
+
+
+class _Escaped(Exception):
+    """A reflection image outside the set; its args are (alpha, lam)."""
 
 
 def verify_root_system(rs: RootSystem) -> Certificate:
-    """Exactly check both root-system axioms; set the flag to the verdict.
+    """Exactly check both root-system axioms, each once, on the roots'
+    integer keys (``to_ints``); set the flag to the verdict.
 
     Axiom 1: no root is zero, and each root's only scalar multiples in the
-    set are itself and its negative (which must be present), so a direction
-    holds one root and its negative.  Axiom 2: the set is invariant under
-    reflection in each of its members.
+    set are itself and its negative (which must be present); other
+    multiples are found by ``_multiple``.  Axiom 2: the set is invariant
+    under reflection in each of its members.
 
     Axiom 2 is checked by generators: ``accrete`` closes the classes
     {beta, -beta} (axiom 1 found every -beta, s_a(-l) = -s_a(l) and
     s_-a = s_a), in order, under the reflections in those it takes as
-    generators, capped at the set's size.  If no image escapes, the set is
-    W_G G for the group W_G of the generators' reflections, so each member
-    is beta = w(g) and s_beta = w s_g w^-1 lies in W_G, which maps the set
-    into itself: axiom 2 holds, with O(n |G|) reflections.  An escaped
-    image joins the whole set in the closure, so the cap is crossed
-    exactly when axiom 2 fails; only then are the roots scanned for a
-    witness (alpha, lam).  No roots, roots of several lengths, or a stated
-    rank other than their length raise ValueError.
+    generators, each step looking its image up in the set.  If none
+    escapes, the set is W_G G for the group W_G of the generators'
+    reflections, so each member is beta = w(g) and s_beta = w s_g w^-1
+    lies in W_G, which maps the set into itself: axiom 2 holds, with
+    O(n |G|) reflections.  The first image s_alpha(lam) outside the set
+    ends the closure with the witness (alpha, lam).  No roots, roots of
+    several lengths, or a stated rank other than their length raise
+    ValueError.
     """
     rs.verified = False
     roots = rs.roots
@@ -315,26 +329,23 @@ def verify_root_system(rs: RootSystem) -> Certificate:
         if (tuple([-n for n in ints]), den) not in root_of:
             return Certificate(False, 1, (alpha,),
                                "negative of root missing")
-    buckets: dict[Root, list[Root]] = {}
-    inverses: dict = {}
-    for beta in roots:
-        bucket = buckets.setdefault(_direction(beta, inverses), [])
-        for alpha in bucket:
-            if beta != negate(alpha):
-                return Certificate(False, 1, (alpha, beta),
-                                   "scalar multiple beyond +-root present")
-        bucket.append(beta)
+    pair = _multiple(roots, root_of)
+    if pair:
+        return Certificate(False, 1, pair,
+                           "scalar multiple beyond +-root present")
+
+    def step(gen, key):  # gen is (alpha, s_alpha)
+        image = apply(gen[1], key)
+        if image[0] not in root_of:
+            raise _Escaped(gen[0], root_of[key])
+        return image
     try:
         accrete(((*class_key(key), beta) for key, beta in root_of.items()),
-                _reflection, apply, len(root_of))
-    except CapExceeded:
-        for alpha in roots:
-            s_alpha = _reflection(alpha)
-            for key, lam in root_of.items():
-                if apply(s_alpha, key)[0] not in root_of:
-                    return Certificate(False, 2, (alpha, lam),
-                                       "reflection image escapes the set")
-        raise  # unreachable: a crossed cap means an image escaped
+                lambda alpha: (alpha, _reflection(alpha)), step,
+                len(root_of))
+    except _Escaped as escaped:
+        return Certificate(False, 2, escaped.args,
+                           "reflection image escapes the set")
     rs.verified = True
     return Certificate(True)
 

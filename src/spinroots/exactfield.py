@@ -24,14 +24,15 @@ from the images of the unit vectors that its caller writes down
 image's class {x, -x} and sign.  A closure's integer keys come back in
 one batch (``from_keys``, the inverse of ``to_ints``): a memo local to
 the call builds one FieldScalar per distinct coordinate tuple, and keeps
-nothing between calls.  ``squares_sum_to_one`` decides a unit norm on a
-key's integers, with the squares' numerators from ``_times``, the one
-place the multiplication formula is written.
+nothing between calls.  ``squared_norm`` and ``linear_map``'s basis
+products are read off ``_times``, the one place the multiplication
+formula is written.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 
@@ -400,27 +401,21 @@ def from_keys(keys) -> list[tuple[FieldScalar, ...]]:
     return out
 
 
-def squares_sum_to_one(key) -> bool:
-    """Whether the squares of the FieldScalars of a key (ints, den) sum to
-    1, decided on its integers: their squares' numerators (``_times``),
-    over den^2, must sum to (den^2, 0, 0, 0).  No FieldScalar is built."""
+def squared_norm(key) -> FieldScalar:
+    """The sum of the squares of the FieldScalars of a key (ints, den):
+    their squares' numerators (``_times``), summed, over den^2."""
     ints, den = key
-    a = b = c = d = 0
     it = iter(ints)
-    for v in zip(it, it, it, it):
-        v += (den,)
-        pa, pb, pc, pd = _times(v, v)
-        a += pa
-        b += pb
-        c += pc
-        d += pd
-    return a == den * den and not (b or c or d)
+    squares = [_times(v, v) for v in zip(it, it, it, it, repeat(den))]
+    return _make(*[sum(s) for s in zip((0, 0, 0, 0), *squares)], den * den)
 
 
-# (m ^ j, w): indexed by bits, basis elements m and j of 1, sqrt2, sqrt5,
-# sqrt10 multiply to element m ^ j times w, the square of element m & j
-_BASIS_PRODUCTS = tuple(tuple((m ^ j, (1, 2, 5, 10)[m & j]) for j in range(4))
-                        for m in range(4))
+# [m][j] = (k, w): basis elements m and j of 1, sqrt2, sqrt5, sqrt10
+# multiply to w times element k, read off ``_times`` on the unit tuples
+_UNITS = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
+_BASIS_PRODUCTS = tuple(
+    tuple(next((k, w) for k, w in enumerate(_times(e_m, e_j)) if w)
+          for e_j in _UNITS) for e_m in _UNITS)
 
 
 def linear_map(images):

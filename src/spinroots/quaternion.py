@@ -5,8 +5,8 @@ The Hamilton product follows e_i e_j = -delta_ij + eps_ijk e_k.
 every (for the icosians, every even) permutation of a base vector (Conway
 & Smith, *On Quaternions and Octonions*, ch. 3-4): the 8 Lipschitz units
 (1, 0, 0, 0); the 24 Hurwitz units, those and (1, 1, 1, 1)/2; the 24
-duals (1, 1, 0, 0)/sqrt2; the 120 icosians, the Hurwitz units and
-(0, tau, 1, sigma)/2.
+duals (1, 1, 0, 0)/sqrt2, and the 48 Hurwitz units and duals; the 120
+icosians, the Hurwitz units and (0, tau, 1, sigma)/2.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def apply_pq(x: Quaternion, p: Quaternion, q: Quaternion,
 _ALL = tuple(permutations(range(4)))
 _EVEN = tuple(p for p in _ALL
               if sum(i > j for i, j in combinations(p, 2)) % 2 == 0)
-_HALF_SQRT2 = SQRT2 * HALF
+_DUAL = (SQRT2 * HALF, SQRT2 * HALF, ZERO, ZERO)
 
 
 def _units(base, perms) -> frozenset[Quaternion]:
@@ -110,7 +110,8 @@ def _units(base, perms) -> frozenset[Quaternion]:
 _CATALOGS = {  # name: (the set it extends, base vector, permutations)
     "lipschitz": (None, (ONE, ZERO, ZERO, ZERO), _ALL),
     "hurwitz": ("lipschitz", (HALF,) * 4, _ALL),
-    "hurwitz_duals": (None, (_HALF_SQRT2, _HALF_SQRT2, ZERO, ZERO), _ALL),
+    "hurwitz_duals": (None, _DUAL, _ALL),
+    "hurwitz+duals": ("hurwitz", _DUAL, _ALL),
     "icosians": ("hurwitz", (ZERO, TAU * HALF, HALF, SIGMA * HALF), _EVEN),
 }
 

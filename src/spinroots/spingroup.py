@@ -17,7 +17,7 @@ components of the generator, read once off the Hamilton product, so a
 step is one sparse product and one gcd, the kernel that reflections
 share (``exactfield.apply``), in the closure on classes {v, -v} that
 roots share (``coxeter.accrete``).  Each class's unit norm is checked
-once, on its integer key (``exactfield.squares_sum_to_one``).  The
+once, on its integer key (``exactfield.squared_norm``).  The
 closed keys become FieldScalars in one batch (``exactfield.from_keys``),
 one object per distinct component value, and are sorted once, each
 parity by (q0, q3, q1, q2): the output order that the golden files fix.
@@ -33,7 +33,7 @@ from collections import Counter
 from .coxeter import (Record, RootSystem, SimpleRoots, accrete, dot,
                       orbit_closure, rotation_order, verify_root_system)
 from .exactfield import (ONE, ZERO, apply, class_key, exact_sorted,
-                         from_keys, linear_map, squares_sum_to_one, to_ints)
+                         from_keys, linear_map, squared_norm, to_ints)
 from .quaternion import Quaternion, catalog
 
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
@@ -109,7 +109,7 @@ def _mulclose(seed, cap: int):
         (((p, *key), sign, (p, q)) for p, q in seed
          for key, sign in [class_key(to_ints(q.components))]),
         lambda pq: _generator(*pq), _step, cap)
-    if not all(squares_sum_to_one(key[1:]) for key in classes):
+    if not all(squared_norm(key[1:]) == ONE for key in classes):
         raise ValueError("closure produced a non-unit versor")
     elements = [(odd, ints if s > 0 else tuple([-n for n in ints]), den)
                 for (odd, ints, den), sign in classes.items()
@@ -275,18 +275,9 @@ def induce_rank4(ss: VersorGroup) -> RootSystem:
 
 
 def catalog_match(ss: VersorGroup) -> str | None:
-    """Name of the unit-quaternion catalog the spinor images equal, if any."""
+    """The first name of ``BINARY_NAME`` whose catalog the images equal."""
     images = frozenset(ss.quaternions())
-    candidates = (
-        ("lipschitz", catalog("lipschitz")),
-        ("hurwitz", catalog("hurwitz")),
-        ("hurwitz+duals", catalog("hurwitz") | catalog("hurwitz_duals")),
-        ("icosians", catalog("icosians")),
-    )
-    for name, units in candidates:
-        if images == units:
-            return name
-    return None
+    return next((n for n in BINARY_NAME if catalog(n) == images), None)
 
 
 # -- full per-group pipeline --------------------------------------------------

@@ -121,6 +121,10 @@ def plain_closure(seed, cap: int = 2000) -> tuple[Multivector, ...]:
     return tuple(sorted(out, key=lambda m: m.components))
 
 
+def negate(x):
+    return tuple(-a for a in x)
+
+
 def reflect_oracle(lam, alpha):
     """s_alpha(lam) from the textbook formula, independent of ``coxeter``."""
     zero = FieldScalar(0)

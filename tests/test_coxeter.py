@@ -12,11 +12,12 @@ import pytest
 from helpers import (brute_force_axiom2, brute_force_orbit,
                      decompose_in_simple, induced_matrix, is_rational,
                      mat_det3, mat_identity, mat_mul, mat_order,
-                     multivectors, rand_nonzero_scalar, rand_scalar, rand_sparse_scalar,
-                     reflect_oracle, reflection_matrix, turn)
+                     multivectors, negate, rand_nonzero_scalar, rand_scalar,
+                     rand_sparse_scalar, reflect_oracle, reflection_matrix,
+                     turn)
 from spinroots import clifford, coxeter
 from spinroots.coxeter import (GROUPS, CapExceeded, Certificate, RootSystem,
-                               SimpleRoots, cartan_matrix, dot, negate,
+                               SimpleRoots, cartan_matrix, dot,
                                orbit_closure, rotation_order, simple_roots,
                                verify_root_system)
 from spinroots.exactfield import (SIGMA, SQRT2, TAU, FieldScalar, apply,
@@ -496,8 +497,9 @@ def test_verify_axiom2_escape():
 
 def test_verify_axiom2_escape_before_the_last_seed():
     # e1 and f generate the eight roots of B2, among them e2 outside the
-    # set, while the set's size is 8: the cap is crossed only once the
-    # seeds after them come in
+    # set, while the set's size is 8: no count tells the escape, which is
+    # found as the image s_f(e1) = -e2 is looked up, before the seeds
+    # after e1 and f come in
     f = _r(_S, _S, 0)
     e3 = _r(0, 0, 1)
     k = _r(0, _S, _S)
@@ -602,23 +604,39 @@ def test_verify_reflects_the_old_orbit_in_the_new_generator_only(
     assert counts == {"b3": (5, 120, 120), "h3": (4, 240, 240)}
 
 
-def test_verify_inverts_each_pivot_once(pipelines, monkeypatch):
-    # axiom 1 scales each root by the inverse of its first nonzero entry;
-    # H4's 120 roots have 8 distinct pivots, so one verification takes
-    # fewer than 20 field inverses (one per root takes 120)
-    calls = []
-    original = FieldScalar.inverse
+def test_verify_inverts_once_per_reflection(pipelines, monkeypatch):
+    # axiom 1 takes no field inverse on a set of one squared norm: each
+    # verification takes exactly one per reflection matrix it builds, on
+    # the four rank-3 systems, the four rank-4 systems and H3 turned by
+    # (1, -2, 4, 5)
+    systems = [RootSystem(rs.group, rs.rank, rs.roots)
+               for res in pipelines.values()
+               for rs in (res.root_system, res.rank4)]
+    turned = tuple(turn((1, -2, 4, 5), r)
+                   for r in pipelines["h3"].root_system.roots)
+    systems.append(RootSystem("h3", 3, turned))
+    inverses, reflections = [], []
+    inverse, reflection = FieldScalar.inverse, coxeter._reflection
 
-    def counted(x):
-        calls.append(x)
-        return original(x)
+    def counted_inverse(x):
+        inverses.append(x)
+        return inverse(x)
 
-    monkeypatch.setattr(FieldScalar, "inverse", counted)
+    def counted_reflection(alpha):
+        reflections.append(alpha)
+        return reflection(alpha)
+
+    monkeypatch.setattr(FieldScalar, "inverse", counted_inverse)
+    monkeypatch.setattr(coxeter, "_reflection", counted_reflection)
+    for rs in systems:
+        inverses.clear()
+        reflections.clear()
+        assert len({dot(r, r) for r in rs.roots}) == 1
+        assert verify_root_system(rs).passed
+        assert 0 < len(inverses) == len(reflections), rs.group
+    # twice a root is a multiple whatever its first nonzero entry; the set
+    # also fails axiom 2, and axiom 1 is reported
     rank4 = pipelines["h3"].rank4
-    assert verify_root_system(RootSystem("H4", 4, rank4.roots)).passed
-    assert len(calls) < 20
-    # each pivot keeps its own inverse: twice a root is caught whatever its
-    # pivot, after the other pivots' inverses are kept
     by_pivot = {next(v for v in r if v): r for r in rank4.roots}
     assert len(by_pivot) == 8
     for beta in by_pivot.values():
@@ -627,6 +645,45 @@ def test_verify_inverts_each_pivot_once(pipelines, monkeypatch):
             RootSystem("H4", 4, rank4.roots + (two, negate(two))))
         assert (cert.axiom, cert.message) == \
             (1, "scalar multiple beyond +-root present")
+
+
+def _assert_parallel_witness(cert, roots):
+    """Axiom 1 fails on a pair of the set's roots that are parallel and
+    not +-: (alpha|beta)^2 = |alpha|^2 |beta|^2, beta != +-alpha."""
+    assert (cert.passed, cert.axiom, cert.message) == \
+        (False, 1, "scalar multiple beyond +-root present")
+    alpha, beta = cert.witness
+    assert alpha in roots and beta in roots
+    ab = dot(alpha, beta)
+    assert ab * ab == dot(alpha, alpha) * dot(beta, beta)
+    assert beta not in (alpha, negate(alpha))
+
+
+def test_verify_finds_a_multiple_of_the_last_root(pipelines):
+    # +-c beta for the last root beta of each preset's rank-3 and rank-4
+    # system, with c rational, in Q(sqrt2) and in Q(sqrt5)
+    scales = (FieldScalar(2), _HALF, SQRT2, TAU)
+    for res in pipelines.values():
+        for rs in (res.root_system, res.rank4):
+            beta = rs.roots[-1]
+            for c in scales:
+                multiple = tuple(c * v for v in beta)
+                roots = rs.roots + (multiple, negate(multiple))
+                rs_c = RootSystem(rs.group, rs.rank, roots)
+                _assert_parallel_witness(verify_root_system(rs_c), roots)
+                assert not rs_c.verified
+
+
+def test_verify_root_system_and_its_double_fail_axiom1_only(pipelines):
+    # s_2a = s_a and s_a(2 l) = 2 s_a(l), so Phi u 2 Phi is closed under
+    # reflection in every member (the n^2 check), and fails axiom 1 alone
+    res = pipelines["h3"]
+    for rs in (res.root_system, res.rank4):
+        doubled = rs.roots + tuple(tuple(v + v for v in r) for r in rs.roots)
+        assert brute_force_axiom2(doubled) is None
+        _assert_parallel_witness(
+            verify_root_system(RootSystem(rs.group, rs.rank, doubled)),
+            doubled)
 
 
 def test_rotation_order_agrees_with_matrix_powering(closures):

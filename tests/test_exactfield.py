@@ -15,7 +15,7 @@ from spinroots import cli, coxeter, quaternion, spingroup
 from spinroots.clifford import Multivector
 from spinroots.exactfield import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                                   FieldScalar, apply, class_key, exact_sorted,
-                                  from_keys, linear_map, squares_sum_to_one,
+                                  from_keys, linear_map, squared_norm,
                                   to_ints)
 from spinroots.quaternion import Quaternion
 
@@ -269,8 +269,8 @@ def _unit_tuple(rng, n, units):
     return u.components
 
 
-def test_squares_sum_to_one_agrees_with_the_field_product():
-    # oracle: dot(x, x) == 1 in FieldScalar arithmetic, on exact units
+def test_squared_norm_agrees_with_the_field_product():
+    # oracle: dot(x, x) in FieldScalar arithmetic, on exact units
     # (products of rational, Hurwitz-dual and icosian units, and turned
     # Pythagorean pairs), units with one entry perturbed, and random
     # tuples with mixed denominators and zero entries
@@ -295,25 +295,29 @@ def test_squares_sum_to_one_agrees_with_the_field_product():
                                     xs[j] + FieldScalar(Fraction(1, 7)),
                                     xs[j] * TAU))
             xs = tuple(xs)
-        want = coxeter.dot(xs, xs) == ONE
-        assert squares_sum_to_one(to_ints(xs)) is want
-        verdicts.append(want)
-        if want:
+        norm = squared_norm(to_ints(xs))
+        assert norm == coxeter.dot(xs, xs)
+        verdicts.append(norm == ONE)
+        if norm == ONE:
             parts.update(m for x in xs for m in range(4) if x._v[m])
     assert verdicts.count(True) > 400 and verdicts.count(False) > 300
     assert parts == {0, 1, 2, 3}
-    assert squares_sum_to_one(to_ints((FieldScalar(Fraction(3, 5)),
-                                       FieldScalar(Fraction(4, 5)))))
-    assert squares_sum_to_one(to_ints((HALF,) * 4))
+    pythagorean = (FieldScalar(Fraction(3, 5)), FieldScalar(Fraction(4, 5)))
     third, quarter = (3 * ONE).inverse(), (4 * ONE).inverse()
-    for near in (((ONE + 2 * SQRT2) * third,), ((2 + SQRT5) * third,),
-                 (3 * quarter, (SQRT2 + SQRT5) * quarter)):
+    nears = (((ONE + 2 * SQRT2) * third,), ((2 + SQRT5) * third,),
+             (3 * quarter, (SQRT2 + SQRT5) * quarter))
+    for xs in (pythagorean, (HALF,) * 4, *nears, (HALF,) * 3, (ZERO,) * 4,
+               ()):
+        assert squared_norm(to_ints(xs)) == coxeter.dot(xs, xs)
+    assert squared_norm(to_ints(pythagorean)) == ONE
+    assert squared_norm(to_ints((HALF,) * 4)) == ONE
+    for near in nears:
         # squares summing to 1 plus a sqrt2, sqrt5 or sqrt10 part
-        assert not squares_sum_to_one(to_ints(near))
+        assert squared_norm(to_ints(near)) != ONE
         assert (coxeter.dot(near, near) - ONE).approx() > 0
-    assert not squares_sum_to_one(to_ints((HALF,) * 3))
-    assert not squares_sum_to_one(to_ints((ZERO,) * 4))
-    assert not squares_sum_to_one(to_ints(()))
+    assert squared_norm(to_ints((HALF,) * 3)) == 3 * quarter
+    assert squared_norm(to_ints((ZERO,) * 4)) == ZERO
+    assert squared_norm(to_ints(())) == ZERO
 
 
 def _grid_map(grid):

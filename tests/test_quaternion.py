@@ -16,7 +16,7 @@ from spinroots.clifford import (E1, E2, E3, I, ONE, Multivector,
 from spinroots.coxeter import dot
 from spinroots.exactfield import ONE as F_ONE
 from spinroots.exactfield import ZERO as F_ZERO
-from spinroots.exactfield import FieldScalar, squares_sum_to_one, to_ints
+from spinroots.exactfield import FieldScalar, squared_norm, to_ints
 from spinroots.quaternion import Quaternion, apply_pq, catalog
 
 QONE, QI, QJ, QK = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1),
@@ -196,6 +196,12 @@ def test_catalog_sizes():
     assert len(catalog("icosians")) == 120
     assert catalog("lipschitz") < catalog("hurwitz") < catalog("icosians")
     assert not (catalog("hurwitz") & catalog("hurwitz_duals"))
+    assert len(catalog("hurwitz+duals")) == 48
+
+
+def test_hurwitz_plus_duals_is_the_union():
+    assert catalog("hurwitz+duals") == \
+        catalog("hurwitz") | catalog("hurwitz_duals")
 
 
 def test_catalog_contents():
@@ -204,7 +210,7 @@ def test_catalog_contents():
     s = FieldScalar(0, Fraction(1, 2))
     assert Quaternion(s, s, 0, 0) in catalog("hurwitz_duals")
     for q in catalog("icosians"):
-        assert squares_sum_to_one(to_ints(q.components))
+        assert squared_norm(to_ints(q.components)) == F_ONE
 
 
 def test_catalog_unknown():
@@ -217,8 +223,7 @@ def test_group_closure_of_catalogs():
     # sets are lipschitz, hurwitz, hurwitz+duals, icosians
     assert QONE not in catalog("hurwitz_duals")
     groups = (catalog("lipschitz"), catalog("hurwitz"),
-              catalog("hurwitz") | catalog("hurwitz_duals"),
-              catalog("icosians"))
+              catalog("hurwitz+duals"), catalog("icosians"))
     for units in groups:
         assert QONE in units
         for q in units:
@@ -234,7 +239,7 @@ def test_pure_icosians_number_thirty():
 
 
 def test_is_unit_agrees_with_norm_sq():
-    # the integer check of squares_sum_to_one on the components' key
+    # squared_norm of the components' key, read off its integers,
     # against norm_sq in field arithmetic:
     # catalog units and their products with random quaternions, which are
     # units only when the random factor is
@@ -247,7 +252,7 @@ def test_is_unit_agrees_with_norm_sq():
         if rng.random() < 0.5:
             q = q * rand_quaternion(rng, 2)
         want = q.norm_sq() == F_ONE
-        assert squares_sum_to_one(to_ints(q.components)) is want
+        assert squared_norm(to_ints(q.components)) == q.norm_sq()
         verdicts.append(want)
     assert 50 < verdicts.count(True) < 250
 

@@ -323,11 +323,8 @@ def test_induce_rank4(pipelines):
 
 def test_rank4_roots_equal_catalogs(pipelines):
     for g, name in EXPECTED_CATALOG.items():
-        if name == "hurwitz+duals":
-            units = catalog("hurwitz") | catalog("hurwitz_duals")
-        else:
-            units = catalog(name)
-        assert set(pipelines[g].rank4.roots) == {q.components for q in units}
+        assert set(pipelines[g].rank4.roots) == \
+            {q.components for q in catalog(name)}
 
 
 def test_induce_rank4_rejects_non_root_system():
