@@ -34,6 +34,7 @@ Root = tuple[FieldScalar, ...]
 GROUPS = ("a1x3", "a3", "b3", "h3")
 
 _S = SQRT2 * HALF  # 1/sqrt2
+ORBIT_CAP = 10000  # any rank, so no field bound; H4's orbit is 120 roots
 
 
 class CapExceeded(ValueError):
@@ -243,18 +244,18 @@ class RootSystem(Record):
         return rs
 
 
-def orbit_closure(simple: SimpleRoots, cap: int = 10000) -> RootSystem:
+def orbit_closure(simple: SimpleRoots) -> RootSystem:
     """Orbit of the simple roots (and negatives, s_a a = -a) under their
     reflections, by ``accrete`` on classes {a, -a} (s_a(-l) = -s_a(l)),
     each unfolded into both roots; the module docstring says why it is
     closed under reflection in every member.  The result is stored sorted;
-    ``cap`` guards against non-terminating closures of malformed input.
+    CapExceeded past ``ORBIT_CAP`` roots, an infinite orbit.
     """
     if not simple.roots:
         raise ValueError("need at least one simple root")
     rank = _rank(simple.roots)
     classes, _ = accrete(((*class_key(to_ints(a)), a) for a in simple.roots),
-                         _reflection, apply, cap, "orbit closure")
+                         _reflection, apply, ORBIT_CAP, "orbit closure")
     keys = [*classes, *((tuple([-n for n in i]), d) for i, d in classes)]
     return RootSystem(simple.group, rank, tuple(exact_sorted(from_keys(keys))))
 

@@ -84,14 +84,6 @@ class Quaternion:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-def apply_pq(x: Quaternion, p: Quaternion, q: Quaternion,
-             starred: bool = False) -> Quaternion:
-    """The [p,q] action x -> p x q, or [p,q]* with x conjugated first."""
-    if starred:
-        x = x.conjugate()
-    return p * x * q
-
-
 _ALL = tuple(permutations(range(4)))
 _EVEN = tuple(p for p in _ALL
               if sum(i > j for i, j in combinations(p, 2)) % 2 == 0)

@@ -16,8 +16,9 @@ multiplication by a generator is a sparse integer matrix
 components of the generator, read once off the Hamilton product, so a
 step is one sparse product and one gcd, the kernel that reflections
 share (``exactfield.apply``), in the closure on classes {v, -v} that
-roots share (``coxeter.accrete``).  Each class's unit norm is checked
-once, on its integer key (``exactfield.squared_norm``).  The
+roots share (``coxeter.accrete``), and stops past ``VERSOR_CAP``, the
+largest finite versor group over the field.  Each class's unit norm is
+checked once, on its integer key (``exactfield.squared_norm``).  The
 closed keys become FieldScalars in one batch (``exactfield.from_keys``),
 one object per distinct component value, and are sorted once, each
 parity by (q0, q3, q1, q2): the output order that the golden files fix.
@@ -39,6 +40,16 @@ from .quaternion import Quaternion, catalog
 RANK4_LABEL = {"a1x3": "A1x4", "a3": "D4", "b3": "F4", "h3": "H4"}
 BINARY_NAME = {"lipschitz": "Q", "hurwitz": "2T",
                "hurwitz+duals": "2O", "icosians": "2I"}
+
+# The largest finite group of unit versors over the field.  A unit rotor
+# turns through 2 theta with cos^2 theta in the field, so its rotation's
+# order is in ``rotation_order``'s table: 1, 2, 3, 4, 5, 6, 8 or 10.  A
+# finite rotation group of such orders is C_n or D_n with n <= 10, or T, O
+# or I: at most 60 (Conway & Smith, *On Quaternions and Octonions*, ch. 3).
+# Reflections at most double that, and each is two versors +-v: 240, which
+# H3's versors reach, so a closure past it is an infinite group.
+VERSOR_CAP = 240
+_PLUS_MINUS_ONE = (ONE, -ONE)  # the census's w with w^2 = 1
 
 
 def _dual(root) -> Quaternion:
@@ -90,10 +101,11 @@ def _step(gen, elem):
     return (a ^ b, *key), sign
 
 
-def _mulclose(seed, cap: int):
+def _mulclose(seed):
     """Smallest set of (parity, Quaternion) pairs containing ``seed`` and
     closed under the geometric product: the even elements, then the odd,
-    each half sorted by (q0, q3, q1, q2).
+    each half sorted by (q0, q3, q1, q2); CapExceeded past ``VERSOR_CAP``
+    elements, an infinite group.
 
     A class {v, -v} is keyed (parity, coords, den) by the quaternion's
     ``exactfield.class_key``.  Since I is central, (I^a R_A)(I^b R_B) =
@@ -108,7 +120,7 @@ def _mulclose(seed, cap: int):
     classes, minus_one = accrete(
         (((p, *key), sign, (p, q)) for p, q in seed
          for key, sign in [class_key(to_ints(q.components))]),
-        lambda pq: _generator(*pq), _step, cap)
+        lambda pq: _generator(*pq), _step, VERSOR_CAP)
     if not all(squared_norm(key[1:]) == ONE for key in classes):
         raise ValueError("closure produced a non-unit versor")
     elements = [(odd, ints if s > 0 else tuple([-n for n in ints]), den)
@@ -123,16 +135,16 @@ def _mulclose(seed, cap: int):
                  for q0, q3, q1, q2 in exact_sorted(half))
 
 
-def generate_from_two(simple: SimpleRoots, cap: int = 10000) -> VersorGroup:
+def generate_from_two(simple: SimpleRoots) -> VersorGroup:
     """Closure of the two spinor generators a1 a2 and a2 a3.
     With d_i = (0, a_i) the simple roots' duals, a1 a2 = a1.a2 + I a1 x a2
-    has the quaternion -(d2 d1) = (a1.a2, a1 x a2).  Each has finite order,
-    so the closure holds its inverse without seeding it."""
+    has the quaternion -(d2 d1) = (a1.a2, a1 x a2).  Each has finite order
+    in a finite group, so the closure (``_mulclose``) holds its inverse."""
     if len(simple.roots) != 3:
         raise ValueError("need exactly three simple roots")
     d1, d2, d3 = map(_dual, simple.roots)
     seed = ((0, -(d2 * d1)), (0, -(d3 * d2)))
-    return VersorGroup(simple.group, _mulclose(seed, cap))
+    return VersorGroup(simple.group, _mulclose(seed))
 
 
 class VersorGroup(Record):
@@ -157,19 +169,19 @@ class VersorGroup(Record):
         return tuple(q for _, q in self.elements)
 
 
-def generate_versor_group(rs: RootSystem, cap: int = 20000) -> VersorGroup:
+def generate_versor_group(rs: RootSystem) -> VersorGroup:
     """Close the unit root vectors under the geometric product.
 
     A root a = I (-I a) enters as the odd pair (1, -(0, a)), in the order of
-    ``rs.roots``; ``_mulclose`` checks that every element is a unit.  The
-    even half are the rotors.
+    ``rs.roots``; ``_mulclose`` checks that every element is a unit, and
+    raises CapExceeded on an infinite group.  The even half are the rotors.
     """
     if rs.rank != 3:
         raise ValueError("versor groups are generated from rank-3 root systems")
     if not rs.verified:
         raise ValueError("verify the root system before generating versors")
     return VersorGroup(rs.group,
-                       _mulclose(((1, -_dual(r)) for r in rs.roots), cap))
+                       _mulclose((1, -_dual(r)) for r in rs.roots))
 
 
 class VersorCensus(Record):
@@ -197,36 +209,31 @@ def classify_versors(vg: VersorGroup) -> VersorCensus:
     A unit versor and its negative induce the same transformation, and no
     other pair does, so every count is halved exactly when -1 is in the
     group.  Each (parity, q) pair is read off the scalar part w = q0 of R,
-    for either parity.  An even versor with w^2 = 1 is the identity, and
-    otherwise a rotation of order ``rotation_order(w^2)``.  An odd versor
-    v = I R acts as minus the rotation of R: with w = 0 that rotation is a
-    half-turn and v a pure reflection; any other odd versor is a
-    rotoinversion, among them v = +-I, the central inversion.  The group
-    holds -I exactly when it holds I = (1, 1), since (-I)^2 = -1 and
-    (-1)(-I) = I, so the census looks up I as the pure check does.
+    for either parity.  A unit versor with w^2 = 1 is +-1 when even, so
+    the identity, counted twice exactly when -1 is in, and +-I when odd,
+    the central inversion: a group holding one holds the other, since
+    (-I)^2 = -1 and (-1)(-I) = I.  Any other even versor is a rotation of
+    order ``rotation_order(w^2)``.  An odd versor v = I R acts as minus the
+    rotation of R: with w = 0 that rotation is a half-turn and v a pure
+    reflection; any other odd versor, +-I among them, is a rotoinversion.
     """
-    n_identity = reflections = rotoinversions = even = odd = 0
+    units = [0, 0]  # the versors with w^2 = 1: +-1, then +-I
+    reflections = odd = 0
     rotations: Counter = Counter()
     for parity, q in vg.elements:
         w = q.components[0]
-        if parity:
-            odd += 1
-            if not w:
-                reflections += 1
-            else:
-                rotoinversions += 1
+        odd += parity
+        if w in _PLUS_MINUS_ONE:
+            units[parity] += 1
+        elif parity:
+            reflections += not w
         else:
-            even += 1
-            w2 = w * w
-            if w2 == ONE:
-                n_identity += 1
-            else:
-                rotations[rotation_order(w2)] += 1
-    k = 2 if (0, Quaternion(-1)) in vg.elements else 1
-    return VersorCensus(len(vg) // k, n_identity // k,
+            rotations[rotation_order(w * w)] += 1
+    k = units[0]
+    return VersorCensus(len(vg) // k, 1,
                         {n: m // k for n, m in rotations.items()},
-                        reflections // k, rotoinversions // k,
-                        even // k, odd // k, (1, Quaternion(1)) in vg.elements)
+                        reflections // k, (odd - reflections) // k,
+                        (len(vg) - odd) // k, odd // k, units[1] > 0)
 
 
 class PureQuaternionCheck(Record):

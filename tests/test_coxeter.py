@@ -224,13 +224,14 @@ def test_closure_roots_are_unit(closures):
             assert dot(root, root) == _ONE
 
 
-def test_closure_cap_guards_nontermination():
+def test_closure_cap_guards_nontermination(monkeypatch):
     # normals at an angle that is no rational multiple of pi generate an
     # infinite dihedral orbit
     bad = SimpleRoots("bad", (_r(1, 0, 0),
                               _r(Fraction(3, 5), Fraction(4, 5), 0)))
+    monkeypatch.setattr(coxeter, "ORBIT_CAP", 50)
     with pytest.raises(ValueError, match="cap"):
-        orbit_closure(bad, cap=50)
+        orbit_closure(bad)
 
 
 def test_orbit_closure_needs_a_simple_root():
@@ -238,12 +239,13 @@ def test_orbit_closure_needs_a_simple_root():
         orbit_closure(SimpleRoots("none", ()))
 
 
-def test_orbit_closure_cap_is_typed():
+def test_orbit_closure_cap_is_typed(monkeypatch):
     bad = SimpleRoots("bad", (_r(1, 0, 0),
                               _r(Fraction(3, 5), Fraction(4, 5), 0)))
+    monkeypatch.setattr(coxeter, "ORBIT_CAP", 50)
     with pytest.raises(CapExceeded,
                        match="orbit closure exceeded cap of 50 elements"):
-        orbit_closure(bad, cap=50)
+        orbit_closure(bad)
 
 
 def _add_mod(n):

@@ -17,7 +17,7 @@ from spinroots.coxeter import dot
 from spinroots.exactfield import ONE as F_ONE
 from spinroots.exactfield import ZERO as F_ZERO
 from spinroots.exactfield import FieldScalar, squared_norm, to_ints
-from spinroots.quaternion import Quaternion, apply_pq, catalog
+from spinroots.quaternion import Quaternion, catalog
 
 QONE, QI, QJ, QK = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1),
                     Quaternion(0, 0, 0, 1))
@@ -85,17 +85,18 @@ def test_norm_multiplicative():
 
 
 def test_apply_pq():
+    # the [p,q] action x -> p x q, and [p,q]* with x conjugated first
     rng = random.Random(83)
     x = rand_quaternion(rng)
-    assert apply_pq(x, QONE, QONE) == x
-    assert apply_pq(x, QONE, QONE, starred=True) == x.conjugate()
+    assert QONE * x * QONE == x
+    assert QONE * x.conjugate() * QONE == x.conjugate()
     for _ in range(200):
         x = rand_quaternion(rng, 4)
         p = rand_quaternion(rng, 4)
         if not p.norm_sq():
             continue
         scale = p.norm_sq().inverse()
-        unit_sandwich = apply_pq(x, p, p.conjugate()) * scale
+        unit_sandwich = p * x * p.conjugate() * scale
         assert unit_sandwich.norm_sq() == x.norm_sq()
 
 
@@ -106,7 +107,7 @@ def test_quaternionic_reflection_formula():
     for _ in range(200):
         v = Quaternion(0, *(rand_scalar(rng, 4) for _ in range(3)))
         x = rng.choice(pures)
-        reflected = -apply_pq(v, x, x, starred=True)
+        reflected = -(x * v.conjugate() * x)
         vx = dot(v.components, x.components)
         coef = (vx + vx) * x.norm_sq().inverse()
         expected = Quaternion(*(a - b * coef for a, b in

@@ -244,12 +244,28 @@ def test_census_of_a_group_without_minus_one():
     # {1, e1} is the reflection group of order 2: no -1, so nothing halves
     # the even element first, then the odd
     vg = spingroup.VersorGroup("t", spingroup._mulclose(
-        map(versor_pair, {E1}), cap=4))
+        map(versor_pair, {E1})))
     assert vg.elements == (versor_pair(ONE), versor_pair(E1))
     census = classify_versors(vg)
     assert census.to_json() == matrix_census(multivectors(vg))
     assert (census.transformations, census.identity, census.reflections,
             census.odd) == (2, 1, 1, 1)
+
+
+def test_census_makes_no_quaternion_comparison(versor_groups,
+                                                monkeypatch):
+    # -1 and +-I are read off the scalar parts in the census's one pass,
+    # not looked up among the elements
+    calls = []
+    eq = Quaternion.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+    monkeypatch.setattr(Quaternion, "__eq__", counted)
+    census = classify_versors(versor_groups["h3"])
+    assert calls == []
+    assert (census.transformations, census.central_inversion) == (120, True)
 
 
 def test_census_other_groups(versor_groups):
@@ -479,9 +495,9 @@ def test_mulclose_equals_plain_closure(closures, monkeypatch):
     mulclose, seeds = spingroup._mulclose, []
     flags = _record_minus_one(monkeypatch)
 
-    def recorded(seed, cap):
+    def recorded(seed):
         seeds.append(list(seed))
-        return mulclose(seeds[-1], cap)
+        return mulclose(seeds[-1])
 
     monkeypatch.setattr(spingroup, "_mulclose", recorded)
     turned, turned_rs = _turned_h3()
@@ -496,7 +512,7 @@ def test_mulclose_equals_plain_closure(closures, monkeypatch):
         versor_seed = set(map(_unit_vector, rs.roots))
         two_seed = _two_generator_seed(simple)
         for seed in (versor_seed, two_seed):
-            elements = mulclose(map(versor_pair, seed), cap=1000)
+            elements = mulclose(map(versor_pair, seed))
             assert elements == _documented_order(plain_closure(seed))
             assert flags[-1] == ((0, Quaternion(-1)) in elements)
         seeds.clear()
@@ -505,8 +521,9 @@ def test_mulclose_equals_plain_closure(closures, monkeypatch):
         assert [set(s) for s in seeds] == [set(map(versor_pair, versor_seed)),
                                            set(map(versor_pair, two_seed))]
     assert [len(rs) for rs, _ in cases[-2:]] == [10, 18]
+    monkeypatch.setattr(spingroup, "VERSOR_CAP", 50)
     with pytest.raises(CapExceeded):
-        generate_versor_group(turned_rs, cap=50)
+        generate_versor_group(turned_rs)
 
 
 def test_groups_without_minus_one(monkeypatch):
@@ -514,7 +531,8 @@ def test_groups_without_minus_one(monkeypatch):
     # of the even seed q = -(1/2, 1/2, 1/2, 1/2), and the 6 elements seeded
     # by q and -q, where the seed meets q's class with the other sign: each
     # closure equals the plain closure, and certifies -1 exactly when the
-    # group holds it; the cap counts elements either way
+    # group holds it; the cap counts elements either way, letting through
+    # a closure of exactly that many elements and stopping it one below
     flags = _record_minus_one(monkeypatch)
     v = (1, -spingroup._dual((3, 4, 0)))
     h = FieldScalar(Fraction(-1, 2))
@@ -522,43 +540,68 @@ def test_groups_without_minus_one(monkeypatch):
     minus_q = (0, -q[1])
     for seed, n, minus_one in (([v], 2, False), ([q], 3, False),
                                ([q, minus_q], 6, True)):
-        elements = spingroup._mulclose(seed, cap=n)
+        monkeypatch.setattr(spingroup, "VERSOR_CAP", n)
+        elements = spingroup._mulclose(seed)
         assert elements == _documented_order(
             plain_closure(set(map(multivector, seed))))
         assert len(elements) == n
         assert flags[-1] is minus_one
         assert ((0, Quaternion(-1)) in elements) is minus_one
+        monkeypatch.setattr(spingroup, "VERSOR_CAP", n - 1)
         with pytest.raises(CapExceeded, match=f"cap of {n - 1} elements"):
-            spingroup._mulclose(seed, cap=n - 1)
+            spingroup._mulclose(seed)
 
 
-def test_cap_boundaries_count_elements(closures):
+def test_cap_boundaries_count_elements(closures, monkeypatch):
     # a cap lets through a closure of exactly that many elements and stops
     # it one below: 240 versors, 120 two-generator spinors and 30 roots
     h3 = simple_roots("h3")
-    for closure, size in ((lambda cap: generate_versor_group(closures["h3"],
-                                                             cap=cap), 240),
-                          (lambda cap: generate_from_two(h3, cap=cap), 120),
-                          (lambda cap: orbit_closure(h3, cap=cap), 30)):
-        assert len(closure(size)) == size
+    for module, name, closure, size in (
+            (spingroup, "VERSOR_CAP",
+             lambda: generate_versor_group(closures["h3"]), 240),
+            (spingroup, "VERSOR_CAP", lambda: generate_from_two(h3), 120),
+            (coxeter, "ORBIT_CAP", lambda: orbit_closure(h3), 30)):
+        monkeypatch.setattr(module, name, size)
+        assert len(closure()) == size
+        monkeypatch.setattr(module, name, size - 1)
         with pytest.raises(CapExceeded, match=f"cap of {size - 1} "):
-            closure(size - 1)
+            closure()
 
 
-def test_closure_cap():
-    from spinroots.coxeter import orbit_closure, verify_root_system
+def test_closure_cap_is_typed(monkeypatch):
     closed = orbit_closure(simple_roots("h3"))
     verify_root_system(closed)
-    with pytest.raises(ValueError, match="cap"):
-        generate_versor_group(closed, cap=50)
-
-
-def test_closure_cap_is_typed(closures):
+    monkeypatch.setattr(spingroup, "VERSOR_CAP", 50)
     with pytest.raises(CapExceeded,
                        match="closure exceeded cap of 50 elements"):
-        generate_versor_group(closures["h3"], cap=50)
+        generate_versor_group(closed)
     with pytest.raises(CapExceeded, match="cap of 50"):
-        generate_from_two(simple_roots("h3"), cap=50)
+        generate_from_two(simple_roots("h3"))
+
+
+def test_h3_reaches_the_versor_cap(closures):
+    # H3's versor group is the largest finite one over the field, and its
+    # two-generator spinors are its even half: both close at the constant
+    assert spingroup.VERSOR_CAP == 240
+    assert len(generate_versor_group(closures["h3"])) == 240
+    assert len(generate_from_two(simple_roots("h3"))) == 120
+
+
+def test_infinite_groups_stop_at_the_versor_cap():
+    # (3/5, 4/5, 0) and (1, 0, 0) meet at an angle that is no rational
+    # multiple of pi: the two-generator spinors and the versors of a root
+    # set forged as verified both generate infinite groups
+    third = Fraction(3, 5), Fraction(4, 5), 0
+    simple = SimpleRoots("bad", tuple(
+        tuple(map(FieldScalar, r)) for r in ((1, 0, 0), third, (0, 0, 1))))
+    forged = RootSystem("bad", 3, tuple(
+        r for a in simple.roots[:2] for r in (a, tuple(-x for x in a))))
+    forged.verified = True
+    for closure in (lambda: generate_from_two(simple),
+                    lambda: generate_versor_group(forged)):
+        with pytest.raises(CapExceeded,
+                           match="^closure exceeded cap of 240 elements$"):
+            closure()
 
 
 def test_versor_group_rejects_non_unit_versors(closures, monkeypatch):
