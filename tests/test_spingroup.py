@@ -568,13 +568,19 @@ def test_cap_boundaries_count_elements(closures, monkeypatch):
             closure()
 
 
-def test_closure_cap_is_typed(monkeypatch):
+def test_closure_cap(monkeypatch):
     closed = orbit_closure(simple_roots("h3"))
     verify_root_system(closed)
     monkeypatch.setattr(spingroup, "VERSOR_CAP", 50)
+    with pytest.raises(ValueError, match="cap"):
+        generate_versor_group(closed)
+
+
+def test_closure_cap_is_typed(closures, monkeypatch):
+    monkeypatch.setattr(spingroup, "VERSOR_CAP", 50)
     with pytest.raises(CapExceeded,
                        match="closure exceeded cap of 50 elements"):
-        generate_versor_group(closed)
+        generate_versor_group(closures["h3"])
     with pytest.raises(CapExceeded, match="cap of 50"):
         generate_from_two(simple_roots("h3"))
 
