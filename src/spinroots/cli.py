@@ -1,19 +1,21 @@
 """Command-line front end: per-group pipelines and the full table check.
 
-Commands print human-readable summaries; ``--json`` additionally writes the
-exact machine-readable form.  Exit status: 0 on success, 1 when a
-verification or table cell fails, the ``--json`` file cannot be written,
-stdout cannot encode the output (sqrt, tau, sigma on an ASCII stdout) or
-the reader of stdout has gone (a closed pipe, as in ``| head``), 2 on
-usage errors.  A command imports ``spingroup`` and ``json`` if it uses
-them, so ``roots`` and ``cartan`` load only ``coxeter`` and ``exactfield``.
+``spinroots roots|versors GROUP [--json PATH]``, ``spinors GROUP [--from-two]
+[--json PATH]``, ``cartan GROUP`` or ``verify-table [--json PATH]``
+(``USAGE``): options before or after the GROUP, ``--json=PATH`` too, and no
+abbreviation (``--js``).  ``--json`` also writes the exact machine-readable
+form.  Exit status: 0 on success and after ``-h`` (usage on stdout), 1 when a
+verification or table cell fails or the output cannot be written (the
+``--json`` file, sqrt, tau and sigma on an ASCII stdout, or a closed pipe, as
+in ``| head``), 2 on any other command line (usage and reason on stderr).
+``roots`` and ``cartan`` load only ``coxeter`` and ``exactfield``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import coxeter
 from .coxeter import GROUPS
@@ -49,19 +51,14 @@ def _write_json(path: str, payload) -> None:
             f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _fmt_root(root) -> str:
-    return "(" + ", ".join(str(c) for c in root) + ")"
-
-
 def cmd_roots(args) -> int:
-    simple = coxeter.simple_roots(args.group)
-    rs = coxeter.orbit_closure(simple)
+    rs = coxeter.orbit_closure(coxeter.simple_roots(args.group))
     cert = coxeter.verify_root_system(rs)
     print(f"group: {args.group}")
     print(f"roots: {len(rs)}")
     print(f"verified: {str(cert.passed).lower()}")
     for root in rs.roots:
-        print(f"  {_fmt_root(root)}")
+        print("  (" + ", ".join(map(str, root)) + ")")
     if args.json:
         _write_json(args.json, rs.to_json())
     return 0 if cert.passed else 1
@@ -107,8 +104,7 @@ def cmd_versors(args) -> int:
 
 
 def cmd_cartan(args) -> int:
-    simple = coxeter.simple_roots(args.group)
-    cm = coxeter.cartan_matrix(simple)
+    cm = coxeter.cartan_matrix(coxeter.simple_roots(args.group))
     print(f"group: {args.group}")
     width = max(len(str(v)) for row in cm.entries for v in row)
     for row in cm.entries:
@@ -168,54 +164,58 @@ def cmd_verify_table(args) -> int:
     if report["pass"]:
         print("table verified: all rows match")
     else:
-        failed = [cell for row in report["rows"]
-                  for cell in row["failed_cells"]]
+        failed = [c for row in report["rows"] for c in row["failed_cells"]]
         print(f"table verification FAILED at: {', '.join(failed)}")
     if args.json:
         _write_json(args.json, report)
     return 0 if report["pass"] else 1
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinroots",
-        description="rank-3 Coxeter root systems and the rank-4 groups "
-                    "their spinors induce")
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = {  # name: (handler, the usage that follows the name)
+    "roots": (cmd_roots, "GROUP [--json PATH]"),
+    "spinors": (cmd_spinors, "GROUP [--from-two] [--json PATH]"),
+    "versors": (cmd_versors, "GROUP [--json PATH]"),
+    "cartan": (cmd_cartan, "GROUP"),
+    "verify-table": (cmd_verify_table, "[--json PATH]")}
+USAGE = "\n".join(f"usage: spinroots {name} {usage}" for name, (_, usage)
+                  in COMMANDS.items()) + f"\nGROUP: {', '.join(GROUPS)}"
 
-    p_roots = sub.add_parser("roots", help="orbit closure and verification")
-    p_roots.add_argument("group", choices=GROUPS)
-    p_roots.add_argument("--json", metavar="PATH")
-    p_roots.set_defaults(func=cmd_roots)
 
-    p_spin = sub.add_parser("spinors", help="binary polyhedral spinor group")
-    p_spin.add_argument("group", choices=GROUPS)
-    p_spin.add_argument("--from-two", action="store_true",
-                        help="generate from the two spinor generators only")
-    p_spin.add_argument("--json", metavar="PATH")
-    p_spin.set_defaults(func=cmd_spinors)
-
-    p_vers = sub.add_parser("versors", help="versor group census")
-    p_vers.add_argument("group", choices=GROUPS)
-    p_vers.add_argument("--json", metavar="PATH")
-    p_vers.set_defaults(func=cmd_versors)
-
-    p_cart = sub.add_parser("cartan", help="exact Cartan matrix")
-    p_cart.add_argument("group", choices=GROUPS)
-    p_cart.set_defaults(func=cmd_cartan)
-
-    p_table = sub.add_parser("verify-table",
-                             help="reproduce the full correspondence table")
-    p_table.add_argument("--json", metavar="PATH")
-    p_table.set_defaults(func=cmd_verify_table)
-
-    return parser
+def _parse(argv) -> tuple:
+    """The handler and arguments of ``argv``, read by its command's usage."""
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError("the first argument must be a command")
+    handler, usage = COMMANDS[argv[0]]
+    spec, words = usage.split(), iter(argv[1:])
+    args = SimpleNamespace(group=None, json=None, from_two=False)
+    for word in words:
+        option, eq, value = word.partition("=")
+        if f"[{option}" in spec:  # --json PATH or --json=PATH
+            args.json = value if eq else next(words, "")
+        elif f"[{word}]" in spec:  # --from-two
+            args.from_two = True
+        elif "GROUP" in spec and not args.group and word in GROUPS:
+            args.group = word
+        else:
+            raise ValueError(f"unexpected argument {word!r}")
+    if args.json == "":
+        raise ValueError("--json needs a PATH")
+    if "GROUP" in spec and not args.group:
+        raise ValueError(f"{argv[0]} needs a GROUP")
+    return handler, args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        status = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(USAGE, f"spinroots: error: {exc}", sep="\n", file=sys.stderr)
+        raise SystemExit(2) from None
+    try:
+        status = handler(args)
         sys.stdout.flush()
         return status
     except OutputError as exc:

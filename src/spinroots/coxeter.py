@@ -34,7 +34,18 @@ Root = tuple[FieldScalar, ...]
 GROUPS = ("a1x3", "a3", "b3", "h3")
 
 _S = SQRT2 * HALF  # 1/sqrt2
-ORBIT_CAP = 10000  # any rank, so no field bound; H4's orbit is 120 roots
+
+# N(n), the most reflections of a finite reflection group in R^n over the
+# field.  Its s_i s_j are rotations over the field, of orders in
+# ``rotation_order``'s table, so by the classification, reducible groups
+# included (Humphreys, *Reflection Groups and Coxeter Groups*, 2.4-2.7), N
+# is 1 (A1), 10 (I2(10)), 15 (H3) and 60 (H4).  The orbit of r simple roots
+# is finite exactly when their group W is: W permutes a finite orbit, which
+# spans the roots, and fixes their orthogonal complement.  Its root w(a_i)
+# lies on the line of the reflection w s_i w^-1 in W, and a line holds at
+# most two roots of each of the r simple roots' lengths: so a finite orbit
+# has at most 2 r N(n) roots, and a closure past that is infinite.
+MOST_REFLECTIONS = {1: 1, 2: 10, 3: 15, 4: 60}
 
 
 class CapExceeded(ValueError):
@@ -249,13 +260,17 @@ def orbit_closure(simple: SimpleRoots) -> RootSystem:
     reflections, by ``accrete`` on classes {a, -a} (s_a(-l) = -s_a(l)),
     each unfolded into both roots; the module docstring says why it is
     closed under reflection in every member.  The result is stored sorted;
-    CapExceeded past ``ORBIT_CAP`` roots, an infinite orbit.
+    CapExceeded past 2 r N(n) roots in R^n (``MOST_REFLECTIONS``), an
+    infinite orbit, and ValueError for n > 4, which has no bound here.
     """
     if not simple.roots:
         raise ValueError("need at least one simple root")
     rank = _rank(simple.roots)
+    if rank not in MOST_REFLECTIONS:
+        raise ValueError(f"no orbit bound for roots in R^{rank}")
+    cap = 2 * len(simple.roots) * MOST_REFLECTIONS[rank]
     classes, _ = accrete(((*class_key(to_ints(a)), a) for a in simple.roots),
-                         _reflection, apply, ORBIT_CAP, "orbit closure")
+                         _reflection, apply, cap, "orbit closure")
     keys = [*classes, *((tuple([-n for n in i]), d) for i, d in classes)]
     return RootSystem(simple.group, rank, tuple(exact_sorted(from_keys(keys))))
 

@@ -57,6 +57,54 @@ def test_missing_command_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["roots", "-h"],
+                                  ["--help", "cartan"]])
+def test_help_prints_the_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out == cli.USAGE + "\n" and captured.err == ""
+    assert captured.out.startswith("usage: spinroots roots GROUP")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["roots", "h3", "--json"], "--json needs a PATH"),
+    (["roots", "h3", "--bogus"], "unexpected argument '--bogus'"),
+    (["roots", "h3", "b3"], "unexpected argument 'b3'"),
+    (["cartan", "h3", "--json", "x"], "unexpected argument '--json'"),
+    (["spinors", "--from-two"], "spinors needs a GROUP"),
+    (["roots", "h3", "--js", "x"], "unexpected argument '--js'"),
+    (["spinors", "h3", "--from"], "unexpected argument '--from'"),
+    (["verify-table", "h3"], "unexpected argument 'h3'"),
+    (["bogus"], "the first argument must be a command")])
+def test_usage_error_prints_the_usage_and_one_reason(argv, reason, capsys,
+                                                     tmp_path, monkeypatch):
+    # as argparse did: exit 2, nothing on stdout, and on stderr the usage
+    # and one error line; abbreviations of an option are not accepted, and
+    # no file named x is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"{cli.USAGE}\nspinroots: error: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_path_after_an_equals_sign_or_before_the_group(tmp_path,
+                                                             capsys):
+    index = Path(__file__).resolve().parent / "golden" / "index.json"
+    recorded = next(e["json_sha256"] for e in json.loads(index.read_text())
+                    if e["json"] and e["argv"] == ["roots", "h3"])
+    plain = run(capsys, "roots", "h3")
+    for n, argv in enumerate((["roots", "h3", "--json={}"],
+                              ["roots", "--json", "{}", "h3"])):
+        path = tmp_path / f"{n}.json"
+        assert run(capsys, *(w.format(path) for w in argv)) == plain
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
+
+
 def test_spinors_b3(capsys):
     code, out = run(capsys, "spinors", "b3")
     assert code == 0
@@ -298,6 +346,7 @@ def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
     # pulls in, nor fractions and its decimal, as the field formats its
     # own integer coordinates.  The package imports none of its modules,
     # and roots and cartan load no spinor code, nor json without --json.
+    # No command loads argparse, or the gettext it pulls in.
     path = tmp_path / "h3.json"
     status, loaded = _fresh_run(
         "from spinroots.cli import main; "
@@ -306,7 +355,8 @@ def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
     assert status == 0
     assert "spinroots.spingroup" in loaded
     assert "spinroots.clifford" not in loaded
-    for module in ("dataclasses", "inspect", "fractions", "decimal"):
+    for module in ("dataclasses", "inspect", "fractions", "decimal",
+                   "argparse", "gettext"):
         assert module not in loaded
     index = Path(__file__).resolve().parent / "golden" / "index.json"
     recorded = next(e["json_sha256"] for e in json.loads(index.read_text())
@@ -326,7 +376,8 @@ def test_verify_table_does_not_load_the_clifford_algebra(tmp_path):
         assert package(loaded) == ["spinroots", "spinroots.cli",
                                    "spinroots.coxeter",
                                    "spinroots.exactfield"]
-        assert "json" not in loaded
+        for module in ("json", "argparse", "gettext"):
+            assert module not in loaded
 
 
 def test_no_module_uses_dataclasses():

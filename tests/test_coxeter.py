@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -226,10 +227,11 @@ def test_closure_roots_are_unit(closures):
 
 def test_closure_cap_guards_nontermination(monkeypatch):
     # normals at an angle that is no rational multiple of pi generate an
-    # infinite dihedral orbit
+    # infinite dihedral orbit; two roots in R^3 under N(3) = 12 give the
+    # bound 48
     bad = SimpleRoots("bad", (_r(1, 0, 0),
                               _r(Fraction(3, 5), Fraction(4, 5), 0)))
-    monkeypatch.setattr(coxeter, "ORBIT_CAP", 50)
+    monkeypatch.setitem(coxeter.MOST_REFLECTIONS, 3, 12)
     with pytest.raises(ValueError, match="cap"):
         orbit_closure(bad)
 
@@ -242,10 +244,49 @@ def test_orbit_closure_needs_a_simple_root():
 def test_orbit_closure_cap_is_typed(monkeypatch):
     bad = SimpleRoots("bad", (_r(1, 0, 0),
                               _r(Fraction(3, 5), Fraction(4, 5), 0)))
-    monkeypatch.setattr(coxeter, "ORBIT_CAP", 50)
+    monkeypatch.setitem(coxeter.MOST_REFLECTIONS, 3, 12)
     with pytest.raises(CapExceeded,
-                       match="orbit closure exceeded cap of 50 elements"):
+                       match="orbit closure exceeded cap of 48 elements"):
         orbit_closure(bad)
+
+
+def test_infinite_orbits_stop_at_the_dimension_bound():
+    # (1, 0) and (3/5, 4/5) meet at an angle that is no rational multiple
+    # of pi: in R^2, R^3 and R^4, alone or with more roots, each orbit
+    # stops past 2 r N(n) roots, the bound its message names, within 50 ms
+    third = (Fraction(3, 5), Fraction(4, 5))
+    for roots, bound in ((((1, 0), third), 2 * 2 * 10),
+                         (((1, 0, 0), (*third, 0)), 2 * 2 * 15),
+                         (((1, 0, 0), (*third, 0), (0, 0, 1)), 2 * 3 * 15),
+                         (((1, 0, 0, 0), (*third, 0, 0)), 2 * 2 * 60),
+                         (((1, 0, 0, 0), (*third, 0, 0), (0, 0, 1, 0),
+                           (0, 0, *third)), 2 * 4 * 60)):
+        bad = SimpleRoots("bad", tuple(_r(*r) for r in roots))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="^orbit closure exceeded cap "
+                                              f"of {bound} elements$"):
+            orbit_closure(bad)
+        assert time.perf_counter() - start < 0.05
+
+
+def test_finite_orbits_close_under_the_dimension_bound(closures):
+    # two roots of R^1 fill their bound 2 * 2 * N(1) = 4.  H3 with its
+    # second simple root doubled holds two lengths on every line: 60 roots,
+    # under the bound 90, that fail axiom 1 with a parallel witness
+    line = orbit_closure(SimpleRoots("a1", (_r(1), _r(2))))
+    assert line.roots == (_r(-2), _r(-1), _r(1), _r(2))
+    a, b, c = simple_roots("h3").roots
+    doubled = orbit_closure(SimpleRoots("h3", (a, tuple(v + v for v in b),
+                                               c)))
+    h3 = closures["h3"].roots
+    assert set(doubled.roots) == {*h3, *(tuple(v + v for v in r) for r in h3)}
+    _assert_parallel_witness(verify_root_system(doubled), doubled.roots)
+
+
+def test_orbit_closure_has_no_bound_past_r4():
+    with pytest.raises(ValueError,
+                       match=r"^no orbit bound for roots in R\^5$"):
+        orbit_closure(SimpleRoots("big", (_r(1, 0, 0, 0, 0),)))
 
 
 def _add_mod(n):

@@ -88,6 +88,23 @@ def test_order_total_and_compatible():
             assert (x * y).sign() > 0
 
 
+def test_order_is_strict_on_equal_pairs():
+    # < is irreflexive, asymmetric and trichotomous on seeded elements,
+    # each also against itself and against an equal element built apart,
+    # and <= and >= agree with it
+    rng = random.Random(79)
+    values = [ZERO, ONE, -ONE, SIGMA] + [rand_scalar(rng, 5)
+                                         for _ in range(60)]
+    for x in values:
+        twin = FieldScalar(x.a, x.b, x.c, x.d)
+        assert twin == x and twin is not x
+        for y in (x, twin, rng.choice(values)):
+            assert not (x < y and y < x)
+            assert (x < y) + (x == y) + (y < x) == 1
+            assert (x <= y) == (not y < x) and (x >= y) == (not x < y)
+        assert not x < x and not x < twin and x <= twin and x >= twin
+
+
 def test_sqrt_known_values():
     assert FieldScalar(4).sqrt() == FieldScalar(2)
     assert FieldScalar(2).sqrt() == SQRT2

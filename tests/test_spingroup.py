@@ -421,7 +421,7 @@ def test_generator_matrix_is_left_multiplication():
     rng = random.Random(149)
     quats = [_rand_quaternion(rng, sparse) for sparse in (True, False) * 12]
     quats += [q for _, q in _turned_h3_versors().elements[::9]]
-    quats.append(Quaternion())
+    quats.append(Quaternion(0))
     for _ in range(120):
         q, p = rng.choice(quats), rng.choice(quats)
         b = rng.randint(0, 1)
@@ -554,18 +554,23 @@ def test_groups_without_minus_one(monkeypatch):
 
 def test_cap_boundaries_count_elements(closures, monkeypatch):
     # a cap lets through a closure of exactly that many elements and stops
-    # it one below: 240 versors, 120 two-generator spinors and 30 roots
+    # it one below: 240 versors and 120 two-generator spinors.  The root
+    # orbit's bound 2 r N(3) moves in steps of 2r = 6 for H3's three roots:
+    # N(3) = 5 makes it exactly the 30 roots, and N(3) = 4 stops them
     h3 = simple_roots("h3")
-    for module, name, closure, size in (
-            (spingroup, "VERSOR_CAP",
-             lambda: generate_versor_group(closures["h3"]), 240),
-            (spingroup, "VERSOR_CAP", lambda: generate_from_two(h3), 120),
-            (coxeter, "ORBIT_CAP", lambda: orbit_closure(h3), 30)):
-        monkeypatch.setattr(module, name, size)
+    for closure, size in (
+            (lambda: generate_versor_group(closures["h3"]), 240),
+            (lambda: generate_from_two(h3), 120)):
+        monkeypatch.setattr(spingroup, "VERSOR_CAP", size)
         assert len(closure()) == size
-        monkeypatch.setattr(module, name, size - 1)
+        monkeypatch.setattr(spingroup, "VERSOR_CAP", size - 1)
         with pytest.raises(CapExceeded, match=f"cap of {size - 1} "):
             closure()
+    monkeypatch.setitem(coxeter.MOST_REFLECTIONS, 3, 5)
+    assert len(orbit_closure(h3)) == 30
+    monkeypatch.setitem(coxeter.MOST_REFLECTIONS, 3, 4)
+    with pytest.raises(CapExceeded, match="cap of 24 "):
+        orbit_closure(h3)
 
 
 def test_closure_cap(monkeypatch):
